@@ -10,8 +10,8 @@
  * blocking stall (I/O-like) plus a small CPU spin, so worker overlap
  * — and therefore the scheduling effect — is visible regardless of
  * host core count. Batch contents mix per-sample RNG draws, so the
- * cross-schedule bit-identity check exercises the FetchSeeding
- * contract end to end.
+ * cross-schedule bit-identity check exercises the per-sample
+ * reseeding contract end to end.
  *
  * Reports, per (schedule, workers in 1/2/4/8): epoch wall time, [T2]
  * wait p50/p99 (lotus_loader_wait_ns), and steal_efficiency
@@ -790,7 +790,7 @@ mtBitIdentical(const std::shared_ptr<workloads::HeavyTailCostDataset>
  *  would swing the inflation ratio by ~2x) and the whole measurement
  *  is best-of-3, since the gate is a ratio of two tail estimates.
  *  The light tenant declares weight 4 — the weighted-fair share a
- *  latency-sensitive job would reserve (DESIGN.md §15). */
+ *  latency-sensitive job would reserve (DESIGN.md §10). */
 double
 mtLightP99(const std::shared_ptr<workloads::HeavyTailCostDataset> &light,
            const std::shared_ptr<workloads::HeavyTailCostDataset> &heavy,

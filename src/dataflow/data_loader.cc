@@ -1,6 +1,5 @@
 #include "dataflow/data_loader.h"
 
-#include <chrono>
 #include <limits>
 
 #include "common/strings.h"
@@ -14,10 +13,6 @@ namespace lotus::dataflow {
 using pipeline::Batch;
 
 namespace {
-
-/** Idle-worker wake backstop under work-stealing; wake events from
- *  StealGroup::notifyWork make the common case prompt. */
-constexpr TimeNs kStealIdleWait = 200 * kMicrosecond;
 
 /**
  * Option validation is a user-facing contract (fatal, not panic):
@@ -86,53 +81,14 @@ validateOptions(const DataLoaderOptions &options)
                     options.read_ahead_depth, options.io_threads);
 }
 
-/**
- * RAII publication of one fetch span's measured PMU delta into the
- * lotus_pmu_* counters. Costs one branch on threads without a live
- * counter group (the common case: registry disabled or sim backend),
- * so it can wrap every fetch unconditionally.
- */
-class PmuSpanGuard
-{
-  public:
-    PmuSpanGuard(metrics::Counter *cycles, metrics::Counter *instructions,
-                 metrics::Counter *llc_misses)
-        : cycles_(cycles), instructions_(instructions),
-          llc_misses_(llc_misses),
-          active_(hwcount::ThreadCounterRegistry::threadHasPmu())
-    {
-        if (active_)
-            start_ = hwcount::ThreadCounterRegistry::readCurrent();
-    }
-
-    ~PmuSpanGuard()
-    {
-        if (!active_)
-            return;
-        const hwcount::CounterSet delta = hwcount::counterDelta(
-            hwcount::ThreadCounterRegistry::readCurrent(), start_);
-        cycles_->add(delta.cycles);
-        instructions_->add(delta.instructions);
-        llc_misses_->add(delta.llc_misses);
-    }
-
-    PmuSpanGuard(const PmuSpanGuard &) = delete;
-    PmuSpanGuard &operator=(const PmuSpanGuard &) = delete;
-
-  private:
-    metrics::Counter *cycles_;
-    metrics::Counter *instructions_;
-    metrics::Counter *llc_misses_;
-    bool active_;
-    hwcount::CounterSet start_;
-};
-
 } // namespace
 
 DataLoader::DataLoader(std::shared_ptr<const pipeline::Dataset> dataset,
                        std::shared_ptr<const pipeline::Collate> collate,
                        DataLoaderOptions options)
-    : dataset_(dataset), fetcher_(std::move(dataset), std::move(collate)),
+    : dataset_(dataset),
+      fetcher_(std::make_shared<Fetcher>(std::move(dataset),
+                                         std::move(collate))),
       options_(options), main_pid_(currentTid())
 {
     validateOptions(options_);
@@ -149,11 +105,48 @@ DataLoader::DataLoader(std::shared_ptr<const pipeline::Dataset> dataset,
         // Directory collisions between live loaders are fatal inside
         // MaterializeStore's claim, i.e. right here at construction.
         cache_ = std::make_shared<cache::SampleCache>(config);
-        fetcher_.setCache(cache_);
+        fetcher_->setCache(cache_);
     }
     rebuildReadAhead();
     registerMetrics();
     rebuildBatches();
+}
+
+Result<std::unique_ptr<DataLoader>>
+DataLoader::connect(std::shared_ptr<TaskEngine> engine,
+                    std::shared_ptr<const pipeline::Dataset> dataset,
+                    std::shared_ptr<const pipeline::Collate> collate,
+                    DataLoaderOptions options, double weight)
+{
+    LOTUS_ASSERT(engine != nullptr && options.num_workers > 0,
+                 "a connected loader needs an engine and a window");
+    // Cache and read-ahead hang off the Fetcher the shared fleet runs;
+    // a connected loader never rebuilds them, so it may not have them.
+    LOTUS_ASSERT(options.cache_policy == CachePolicy::kNone &&
+                     options.read_ahead_depth == 0,
+                 "a connected loader runs without cache and read-ahead");
+    std::unique_ptr<DataLoader> loader(
+        new DataLoader(std::move(dataset), std::move(collate), options));
+    auto client = engine->connect(loader->clientSpec(weight));
+    if (!client.ok())
+        return client.takeError();
+    loader->engine_ = std::move(engine);
+    loader->client_ = client.take();
+    loader->bound_ = true;
+    return loader;
+}
+
+ClientSpec
+DataLoader::clientSpec(double weight) const
+{
+    ClientSpec spec;
+    spec.fetcher = fetcher_;
+    spec.errors = ErrorHandling{options_.error_policy, options_.max_retries,
+                                options_.max_refill_attempts};
+    spec.batch_size = options_.batch_size;
+    spec.weight = weight;
+    spec.logger = options_.logger;
+    return spec;
 }
 
 void
@@ -162,7 +155,7 @@ DataLoader::rebuildReadAhead()
     if (options_.read_ahead_depth <= 0) {
         if (read_ahead_ != nullptr) {
             read_ahead_.reset();
-            fetcher_.setReadAhead(nullptr);
+            fetcher_->setReadAhead(nullptr);
         }
         return;
     }
@@ -183,7 +176,7 @@ DataLoader::rebuildReadAhead()
     // never left dangling, and the old engine joins its I/O threads
     // when the last reference drops.
     read_ahead_ = std::make_shared<ReadAhead>(store, ra);
-    fetcher_.setReadAhead(read_ahead_);
+    fetcher_->setReadAhead(read_ahead_);
 }
 
 LoaderReconfig
@@ -203,7 +196,13 @@ DataLoader::reconfigure(const LoaderReconfig &next)
 {
     // Workers, queues, and the read-ahead plan are all per-epoch
     // state; swapping them under a live epoch would orphan in-flight
-    // batches. Epoch boundaries only (DESIGN.md §14).
+    // batches. Epoch boundaries only (DESIGN.md §14). A connected
+    // loader's fleet is the server's, and may still be draining this
+    // client's canceled tasks through the shared Fetcher.
+    if (bound_)
+        LOTUS_FATAL("DataLoader::reconfigure: client %lld runs on a "
+                    "shared task engine; its fleet is not reconfigurable",
+                    static_cast<long long>(client_->id));
     if (epoch_started_ && rcvd_idx_ < numBatches())
         LOTUS_FATAL("DataLoader::reconfigure: epoch %lld still in "
                     "flight (batch %lld of %lld); reconfiguration is "
@@ -211,23 +210,6 @@ DataLoader::reconfigure(const LoaderReconfig &next)
                     static_cast<long long>(epoch_),
                     static_cast<long long>(rcvd_idx_),
                     static_cast<long long>(numBatches()));
-    // A loader co-hosted with a PreprocServer does not own the worker
-    // fleet: a tuner decision that resizes or reschedules it would
-    // silently fight the server's weighted-fair scheduler. Per-client
-    // knobs (prefetch, read-ahead) stay tunable.
-    if (!attached_service_.empty() &&
-        (next.num_workers != options_.num_workers ||
-         next.schedule != options_.schedule))
-        LOTUS_FATAL(
-            "DataLoader::reconfigure: this loader is attached to "
-            "preprocessing service '%s', which owns the shared worker "
-            "fleet; fleet-level knobs (num_workers %d->%d, schedule "
-            "%d->%d) must be changed on the server, not per client — "
-            "only prefetch_factor, read_ahead_depth, and io_threads "
-            "may change here",
-            attached_service_.c_str(), options_.num_workers,
-            next.num_workers, static_cast<int>(options_.schedule),
-            static_cast<int>(next.schedule));
     DataLoaderOptions candidate = options_;
     candidate.num_workers = next.num_workers;
     candidate.prefetch_factor = next.prefetch_factor;
@@ -251,7 +233,6 @@ DataLoader::registerMetrics()
     // changes, so the per-worker vectors must rebuild, not append.
     metrics_.fetch_ns.clear();
     metrics_.index_queue_depth.clear();
-    metrics_.steals.clear();
     auto &registry = metrics::MetricsRegistry::instance();
     metrics_.batches_total = registry.counter("lotus_loader_batches_total");
     metrics_.ooo_batches_total =
@@ -262,17 +243,15 @@ DataLoader::registerMetrics()
         registry.gauge("lotus_loader_data_queue_depth");
     metrics_.pin_cache_size =
         registry.gauge("lotus_loader_pin_cache_size");
-    // Work-stealing telemetry. tasks/batch-span register in every
-    // mode (they just stay untouched under round-robin) so dashboards
-    // can diff schedules without conditional queries.
-    metrics_.tasks_total = registry.counter(kTasksMetric);
-    metrics_.batch_span_ns =
-        registry.histogram("lotus_loader_batch_span_ns");
-    // Measured PMU totals. Registered unconditionally; they only move
-    // when the ThreadCounterRegistry resolved to the perf backend.
-    metrics_.pmu_cycles = registry.counter(kPmuCyclesMetric);
-    metrics_.pmu_instructions = registry.counter(kPmuInstructionsMetric);
-    metrics_.pmu_llc_misses = registry.counter(kPmuLlcMissesMetric);
+    // Engine telemetry (the engine records it) and the measured PMU
+    // totals register in every mode — they just stay untouched under
+    // round-robin or the simulated PMU backend — so dashboards can
+    // diff schedules without conditional queries.
+    registry.counter(kTasksMetric);
+    registry.histogram("lotus_loader_batch_span_ns");
+    registry.counter(kPmuCyclesMetric);
+    registry.counter(kPmuInstructionsMetric);
+    registry.counter(kPmuLlcMissesMetric);
     if (options_.num_workers == 0) {
         metrics_.fetch_ns.push_back(registry.histogram(
             metrics::labeled("lotus_loader_fetch_ns", "worker", "main")));
@@ -285,8 +264,7 @@ DataLoader::registerMetrics()
         metrics_.index_queue_depth.push_back(registry.gauge(
             metrics::labeled("lotus_loader_index_queue_depth", "worker",
                              id)));
-        metrics_.steals.push_back(registry.counter(
-            metrics::labeled(kStealsMetric, "worker", id)));
+        registry.counter(metrics::labeled(kStealsMetric, "worker", id));
     }
 }
 
@@ -298,15 +276,11 @@ DataLoader::rebuildBatches()
                               options_.seed, epoch_);
 }
 
-void
-DataLoader::attachToService(const std::string &service)
-{
-    attached_service_ = service;
-}
-
 DataLoader::~DataLoader()
 {
     shutdownWorkers();
+    if (bound_)
+        engine_->disconnect(*client_);
 }
 
 std::int64_t
@@ -327,7 +301,6 @@ DataLoader::startEpoch()
     send_idx_ = 0;
     rcvd_idx_ = 0;
     reorder_cache_.clear();
-    batch_worker_.clear();
     epoch_seed_base_ = epochSeedBase(options_.seed, epoch_);
 
     if (read_ahead_ != nullptr) {
@@ -355,48 +328,39 @@ DataLoader::startEpoch()
         // The main thread does the fetching, so it carries the
         // counter group (no-op unless PMU attribution is enabled).
         hwcount::ThreadCounterRegistry::instance().attachCurrentThread();
-        if (options_.logger) {
-            trace::TraceRecord marker;
-            marker.kind = trace::RecordKind::EpochBoundary;
-            marker.pid = main_pid_;
-            marker.start = options_.logger->now();
-            marker.op_name = "epoch_start";
-            options_.logger->log(std::move(marker));
+    } else if (usesEngine()) {
+        if (!bound_) {
+            // A private engine sized so admission is never tighter
+            // than the window: at most prefetch_factor x num_workers
+            // batches are ever submitted and unconsumed.
+            const int window = options_.prefetch_factor * options_.num_workers;
+            EngineLimits limits;
+            limits.num_workers = options_.num_workers;
+            limits.max_clients = 1;
+            limits.outbound_capacity = window;
+            limits.max_inflight_samples =
+                static_cast<std::int64_t>(window) * options_.batch_size;
+            engine_ = std::make_shared<TaskEngine>(limits);
+            client_ = engine_->connect(clientSpec(1.0)).take();
         }
-        epoch_started_ = true;
-        return;
-    }
-
-    // Work-stealing collapses the per-worker index queues into one
-    // shared queue: any worker may decompose any batch, so a slow
-    // worker can never strand index messages behind its own backlog.
-    index_queues_.clear();
-    const int queue_count = workStealing() ? 1 : options_.num_workers;
-    for (int q = 0; q < queue_count; ++q)
-        index_queues_.push_back(std::make_unique<MpmcQueue<IndexMsg>>());
-    data_queue_ = std::make_unique<MpmcQueue<DataMsg>>();
-    if (workStealing()) {
-        group_ = std::make_unique<StealGroup>(options_.num_workers);
-        std::lock_guard lock(builds_mutex_);
-        builds_.clear();
-    }
-
-    {
+        generation_ = engine_->beginEpoch(*client_);
         std::lock_guard lock(worker_pids_mutex_);
-        worker_pids_.assign(static_cast<std::size_t>(options_.num_workers),
-                            0);
-    }
-    for (int w = 0; w < options_.num_workers; ++w)
-        workers_.emplace_back([this, w] {
-            if (workStealing())
-                stealingLoop(w);
-            else
-                workerLoop(w);
-        });
+        worker_pids_ = engine_->workerPids();
+    } else {
+        index_queues_.clear();
+        for (int w = 0; w < options_.num_workers; ++w)
+            index_queues_.push_back(std::make_unique<MpmcQueue<IndexMsg>>());
+        data_queue_ = std::make_unique<MpmcQueue<BatchMsg>>();
+        {
+            std::lock_guard lock(worker_pids_mutex_);
+            worker_pids_.assign(
+                static_cast<std::size_t>(options_.num_workers), 0);
+        }
+        for (int w = 0; w < options_.num_workers; ++w)
+            workers_.emplace_back([this, w] { workerLoop(w); });
 
-    // Wait for every worker to announce its pid so trace records and
-    // workerPids() are complete from the first batch on.
-    {
+        // Wait for every worker to announce its pid so trace records
+        // and workerPids() are complete from the first batch on.
         std::unique_lock lock(worker_pids_mutex_);
         worker_ready_cv_.wait(lock, [this] {
             for (const auto pid : worker_pids_) {
@@ -407,16 +371,17 @@ DataLoader::startEpoch()
         });
     }
 
-    // Prime every worker's index queue with prefetch_factor batches,
-    // round-robin across workers (paper §II-B). Rounds are capped at
-    // numBatches(): beyond that every tryPutIndex is a no-op, and an
-    // uncapped loop with a huge (valid) prefetch_factor would spin
-    // here for prefetch_factor x num_workers iterations.
+    // Prime prefetch_factor batches per worker, round-robin across
+    // workers (paper §II-B); an engine takes the same window as
+    // submissions. Rounds are capped at numBatches(): beyond that
+    // every sendNext is a no-op, and an uncapped loop with a huge
+    // (valid) prefetch_factor would spin here for prefetch_factor x
+    // num_workers iterations.
     const std::int64_t rounds = std::min<std::int64_t>(
         options_.prefetch_factor, numBatches());
     for (std::int64_t round = 0; round < rounds; ++round) {
         for (int w = 0; w < options_.num_workers; ++w)
-            tryPutIndex(w);
+            sendNext(w);
     }
     if (options_.logger) {
         trace::TraceRecord marker;
@@ -430,23 +395,25 @@ DataLoader::startEpoch()
 }
 
 void
-DataLoader::tryPutIndex(int worker_id)
+DataLoader::sendNext(int worker_id)
 {
     if (send_idx_ >= numBatches())
         return;
-    IndexMsg msg;
-    msg.batch_id = send_idx_;
-    msg.indices = batches_[static_cast<std::size_t>(send_idx_)];
-    batch_worker_[send_idx_] = worker_id;
+    std::vector<std::int64_t> indices =
+        batches_[static_cast<std::size_t>(send_idx_)];
+    if (usesEngine()) {
+        Submission submission;
+        submission.batch_id = send_idx_;
+        submission.indices = std::move(indices);
+        submission.seed_base = epoch_seed_base_;
+        submission.generation = generation_;
+        engine_->submit(*client_, std::move(submission));
+    } else {
+        const auto w = static_cast<std::size_t>(worker_id);
+        index_queues_[w]->push(IndexMsg{send_idx_, std::move(indices)});
+        metrics_.index_queue_depth[w]->add(1);
+    }
     ++send_idx_;
-    // Under work-stealing, worker_id stays the nominal home worker
-    // for refill credit, but the message goes on the shared queue.
-    const auto queue =
-        workStealing() ? 0u : static_cast<std::size_t>(worker_id);
-    index_queues_[queue]->push(std::move(msg));
-    metrics_.index_queue_depth[queue]->add(1);
-    if (workStealing())
-        group_->notifyWork();
 }
 
 void
@@ -466,7 +433,6 @@ DataLoader::workerLoop(int worker_id)
     // every worker before recomputing it. The rng object is just the
     // storage ctx points at — every sample attempt reseeds it.
     Rng rng(epoch_seed_base_);
-    const FetchSeeding seeding{/*per_sample=*/true, epoch_seed_base_};
     const ErrorHandling errors{options_.error_policy, options_.max_retries,
                                options_.max_refill_attempts};
 
@@ -491,16 +457,15 @@ DataLoader::workerLoop(int worker_id)
                               trace::RecordKind::BatchPreprocessed);
         span.record().batch_id = msg->batch_id;
         span.record().pid = pid;
-        DataMsg out;
+        BatchMsg out;
         out.batch_id = msg->batch_id;
         out.worker_id = worker_id;
         {
             metrics::ScopedTimer fetch_timer(fetch_hist);
-            PmuSpanGuard pmu_span(metrics_.pmu_cycles,
-                                  metrics_.pmu_instructions,
-                                  metrics_.pmu_llc_misses);
-            Result<Batch> batch = fetcher_.tryFetch(
-                msg->batch_id, msg->indices, ctx, errors, {}, seeding);
+            PmuSpanGuard pmu_span;
+            Result<Batch> batch =
+                fetcher_->tryFetch(msg->batch_id, msg->indices, ctx, errors,
+                                   epoch_seed_base_);
             // A failed batch still flows through the data queue (not a
             // silent worker death): the consumer re-raises it in batch
             // order as a LoaderError.
@@ -515,212 +480,6 @@ DataLoader::workerLoop(int worker_id)
         metrics_.data_queue_depth->add(1);
     }
     hwcount::ThreadCounterRegistry::instance().detachCurrentThread();
-}
-
-void
-DataLoader::stealingLoop(int worker_id)
-{
-    setCurrentThreadName(strFormat("loader-%d", worker_id));
-    const std::uint32_t pid = currentTid();
-    {
-        std::lock_guard lock(worker_pids_mutex_);
-        worker_pids_[static_cast<std::size_t>(worker_id)] = pid;
-    }
-    worker_ready_cv_.notify_one();
-    hwcount::ThreadCounterRegistry::instance().attachCurrentThread();
-
-    // The rng object is only the storage ctx points at: runTask
-    // reseeds it per task from (epoch_seed_base_, dataset index), so
-    // draws are identical no matter which worker runs the task.
-    Rng rng(epoch_seed_base_);
-    pipeline::PipelineContext ctx;
-    ctx.logger = options_.logger;
-    ctx.pid = pid;
-    ctx.rng = &rng;
-
-    auto &deque = group_->deque(worker_id);
-    auto &index_queue = *index_queues_[0];
-    for (;;) {
-        // Snapshot the wake counter *before* scanning so a notify
-        // that lands mid-scan cuts the wait short instead of being
-        // lost.
-        const std::uint64_t idle_token = group_->workEpoch();
-
-        // 1) Own deque, LIFO: newest task is cache-warm.
-        if (SampleTask *task = deque.pop()) {
-            runTask(worker_id, task, ctx, rng);
-            continue;
-        }
-        // 2) Steal FIFO from the busiest peer: the oldest task of the
-        // most backed-up worker is the straggler batch's work.
-        int victim = -1;
-        if (SampleTask *task = group_->stealBusiest(worker_id, &victim)) {
-            metrics_.steals[static_cast<std::size_t>(worker_id)]->add(1);
-            if (options_.logger != nullptr) {
-                trace::TraceRecord record;
-                record.kind = trace::RecordKind::StealEvent;
-                record.batch_id = task->build->batch_id;
-                record.pid = pid;
-                record.start = options_.logger->now();
-                record.op_name = strFormat("steal<-w%d", victim);
-                record.sample_index = task->index;
-                options_.logger->log(std::move(record));
-            }
-            runTask(worker_id, task, ctx, rng);
-            continue;
-        }
-        // 3) Nothing to steal: decompose a new batch from the shared
-        // index queue.
-        if (auto msg = index_queue.tryPop()) {
-            metrics_.index_queue_depth[0]->sub(1);
-            decomposeBatch(worker_id, std::move(*msg));
-            continue;
-        }
-        // 4) Idle. The queue only closes after every batch is
-        // consumed (or the epoch aborted), so closed + nothing above
-        // means this worker is done.
-        if (index_queue.closed())
-            break;
-        group_->waitForWork(idle_token, kStealIdleWait);
-    }
-    hwcount::ThreadCounterRegistry::instance().detachCurrentThread();
-}
-
-void
-DataLoader::decomposeBatch(int worker_id, IndexMsg msg)
-{
-    auto owned = std::make_unique<BatchBuild>();
-    BatchBuild *build = owned.get();
-    build->batch_id = msg.batch_id;
-    build->home_worker = worker_id;
-    build->seed_base = epoch_seed_base_;
-    if (options_.logger != nullptr)
-        build->trace_start = options_.logger->now();
-    if (metrics::enabled())
-        build->start = SteadyClock::instance().now();
-    build->indices = std::move(msg.indices);
-    const auto n = build->indices.size();
-    LOTUS_ASSERT(n > 0, "empty batch requested");
-    build->samples.resize(n);
-    build->errors.resize(n);
-    build->tasks.resize(n);
-    build->remaining.store(static_cast<int>(n),
-                           std::memory_order_relaxed);
-    {
-        // Retain the build until the epoch's workers join: a stolen
-        // task pointer must never outlive its build, even when the
-        // epoch aborts mid-batch.
-        std::lock_guard lock(builds_mutex_);
-        builds_.push_back(std::move(owned));
-    }
-    auto &deque = group_->deque(worker_id);
-    for (std::size_t slot = 0; slot < n; ++slot) {
-        SampleTask &task = build->tasks[slot];
-        task.build = build;
-        task.slot = static_cast<int>(slot);
-        task.index = build->indices[slot];
-        task.retries_left = options_.max_retries;
-        task.refills_left = options_.max_refill_attempts;
-        deque.push(&task);
-    }
-    metrics_.tasks_total->add(n);
-    group_->notifyWork();
-}
-
-void
-DataLoader::runTask(int worker_id, SampleTask *task,
-                    pipeline::PipelineContext &ctx, Rng &rng)
-{
-    BatchBuild &build = *task->build;
-    ctx.batch_id = build.batch_id;
-    ctx.sample_index = task->index;
-    // The per-sample seeding contract (FetchSeeding): reseed on the
-    // current candidate index so retries replay and refills draw what
-    // the replacement index would draw in its own slot.
-    rng = Rng(sampleRngSeed(build.seed_base, task->index));
-
-    trace::SpanTimer span(options_.logger, trace::RecordKind::TaskSpan);
-    span.record().op_name = "task";
-    span.record().batch_id = build.batch_id;
-    span.record().pid = ctx.pid;
-    span.record().sample_index = task->index;
-    Result<pipeline::Sample> sample = [&] {
-        metrics::ScopedTimer fetch_timer(
-            metrics_.fetch_ns[static_cast<std::size_t>(worker_id)]);
-        PmuSpanGuard pmu_span(metrics_.pmu_cycles,
-                              metrics_.pmu_instructions,
-                              metrics_.pmu_llc_misses);
-        return fetcher_.getSample(task->index, ctx);
-    }();
-    span.finish();
-    ctx.sample_index = -1;
-
-    const ErrorHandling errors{options_.error_policy, options_.max_retries,
-                               options_.max_refill_attempts};
-    switch (resolveTask(task, std::move(sample), errors, dataset_->size(),
-                        ctx)) {
-      case TaskOutcome::kRequeue:
-        // This worker still owns the mutated task: re-enqueue it so
-        // peers can steal the follow-up attempt too.
-        group_->deque(worker_id).push(task);
-        group_->notifyWork();
-        break;
-      case TaskOutcome::kResolved:
-        break;
-      case TaskOutcome::kBatchDone:
-        completeBatch(worker_id, build, ctx);
-        break;
-    }
-}
-
-void
-DataLoader::completeBatch(int worker_id, BatchBuild &build,
-                          pipeline::PipelineContext &ctx)
-{
-    DataMsg out;
-    out.batch_id = build.batch_id;
-    out.worker_id = worker_id;
-
-    // Deterministic failure selection: the lowest failed slot is the
-    // first failure round-robin's sequential fetch would have hit, so
-    // both schedules surface the same error for the same seed. (Error
-    // *counts* can differ under kFail: stealing attempts every slot,
-    // round-robin stops at the first failure.)
-    std::size_t first_error = build.errors.size();
-    for (std::size_t slot = 0; slot < build.errors.size(); ++slot) {
-        if (build.errors[slot].has_value()) {
-            first_error = slot;
-            break;
-        }
-    }
-    if (first_error < build.errors.size()) {
-        out.error = std::move(*build.errors[first_error]);
-    } else {
-        ctx.batch_id = build.batch_id;
-        out.batch = fetcher_.collateBatch(build.batch_id,
-                                          std::move(build.samples), ctx);
-    }
-
-    // [T1] for the whole build: decompose -> last slot + collate, in
-    // the finisher's lane. The span can overlap other batches' task
-    // spans in the same lane — that is the point of the schedule.
-    if (options_.logger != nullptr) {
-        trace::TraceRecord record;
-        record.kind = trace::RecordKind::BatchPreprocessed;
-        record.batch_id = build.batch_id;
-        record.pid = ctx.pid;
-        record.start = build.trace_start;
-        record.duration = options_.logger->now() - build.trace_start;
-        options_.logger->log(std::move(record));
-    }
-    if (build.start != 0 && metrics::enabled()) {
-        const TimeNs span = SteadyClock::instance().now() - build.start;
-        metrics_.batch_span_ns->record(
-            static_cast<std::uint64_t>(span > 0 ? span : 0));
-    }
-
-    data_queue_->push(std::move(out));
-    metrics_.data_queue_depth->add(1);
 }
 
 void
@@ -755,16 +514,13 @@ DataLoader::nextSynchronous()
     Batch result;
     {
         metrics::ScopedTimer fetch_timer(metrics_.fetch_ns[0]);
-        PmuSpanGuard pmu_span(metrics_.pmu_cycles,
-                              metrics_.pmu_instructions,
-                              metrics_.pmu_llc_misses);
+        PmuSpanGuard pmu_span;
         const ErrorHandling errors{options_.error_policy,
                                    options_.max_retries,
                                    options_.max_refill_attempts};
-        Result<Batch> fetched = fetcher_.tryFetch(
+        Result<Batch> fetched = fetcher_->tryFetch(
             wanted, batches_[static_cast<std::size_t>(wanted)], ctx, errors,
-            std::move(spare_),
-            FetchSeeding{/*per_sample=*/true, epoch_seed_base_});
+            epoch_seed_base_, std::move(spare_));
         spare_ = tensor::Tensor();
         if (!fetched.ok()) {
             // Synchronous re-raise: worker id -1 marks the main
@@ -810,8 +566,7 @@ DataLoader::next()
     }
 
     const std::int64_t wanted = rcvd_idx_;
-    Batch result;
-    bool have_result = false;
+    BatchMsg msg;
 
     // [T2]: wait for the desired batch. Early out-of-order arrivals
     // already pinned and cached get the 1 µs sentinel duration.
@@ -821,42 +576,49 @@ DataLoader::next()
 
     if (auto cached = reorder_cache_.find(wanted);
         cached != reorder_cache_.end()) {
-        DataMsg msg = std::move(cached->second);
+        msg = std::move(cached->second);
         reorder_cache_.erase(cached);
         metrics_.pin_cache_size->sub(1);
         if (msg.error.has_value())
             raiseWorkerError(std::move(msg));
-        result = std::move(msg.batch);
-        have_result = true;
         if (options_.logger) {
             trace::TraceRecord sentinel = wait_span.record();
             sentinel.duration = trace::kOutOfOrderSentinel;
             options_.logger->log(std::move(sentinel));
         }
     } else {
+        // Only engine queues outlive an epoch incarnation; a round-robin
+        // data queue is rebuilt per epoch and its messages carry no
+        // generation.
+        const bool engine = usesEngine();
+        MpmcQueue<BatchMsg> &queue = engine ? client_->outbound : *data_queue_;
         const bool measured = metrics::enabled();
         const TimeNs wait_start =
             measured ? SteadyClock::instance().now() : 0;
-        while (!have_result) {
-            auto msg = data_queue_->pop();
-            LOTUS_ASSERT(msg.has_value(),
+        for (;;) {
+            auto received = queue.pop();
+            LOTUS_ASSERT(received.has_value(),
                          "data queue closed with batches outstanding");
             metrics_.data_queue_depth->sub(1);
-            if (msg->batch_id == wanted) {
-                if (msg->error.has_value())
-                    raiseWorkerError(std::move(*msg));
-                result = std::move(msg->batch);
-                have_result = true;
-            } else {
-                // Early arrival: pin to CPU memory and cache it
-                // (paper §III-B). Failed batches are cached too so the
-                // error surfaces in batch order, not arrival order.
-                pinBatch(msg->batch);
-                reorder_cache_.emplace(msg->batch_id, std::move(*msg));
-                metrics_.ooo_batches_total->add(1);
-                metrics_.pin_cache_size->add(1);
+            if (client_ != nullptr && client_->queue_depth_metric != nullptr)
+                client_->queue_depth_metric->set(
+                    static_cast<std::int64_t>(queue.size()));
+            if (engine && received->generation != generation_)
+                continue; // canceled incarnation residue
+            if (received->batch_id == wanted) {
+                msg = std::move(*received);
+                break;
             }
+            // Early arrival: pin to CPU memory and cache it (paper
+            // §III-B). Failed batches are cached too so the error
+            // surfaces in batch order, not arrival order.
+            pinBatch(received->batch);
+            reorder_cache_.emplace(received->batch_id, std::move(*received));
+            metrics_.ooo_batches_total->add(1);
+            metrics_.pin_cache_size->add(1);
         }
+        if (msg.error.has_value())
+            raiseWorkerError(std::move(msg));
         if (measured) {
             const TimeNs waited =
                 SteadyClock::instance().now() - wait_start;
@@ -864,9 +626,11 @@ DataLoader::next()
                 static_cast<std::uint64_t>(waited > 0 ? waited : 0);
             metrics_.wait_ns->record(waited_u);
             metrics_.wait_ns_total->add(waited_u);
+            if (client_ != nullptr && client_->wait_ns_metric != nullptr)
+                client_->wait_ns_metric->record(waited_u);
         }
         wait_span.finish();
-        pinBatch(result);
+        pinBatch(msg.batch);
     }
 
     // Consumption span: bookkeeping + dispatch of new work for the
@@ -876,12 +640,7 @@ DataLoader::next()
                                    trace::RecordKind::BatchConsumed);
     consumed_span.record().batch_id = wanted;
     consumed_span.record().pid = main_pid_;
-    const auto producer = batch_worker_.find(wanted);
-    LOTUS_ASSERT(producer != batch_worker_.end(),
-                 "unknown producer for batch %lld",
-                 static_cast<long long>(wanted));
-    tryPutIndex(producer->second);
-    batch_worker_.erase(producer);
+    sendNext(msg.worker_id);
     consumed_span.finish();
 
     metrics_.batches_total->add(1);
@@ -890,11 +649,11 @@ DataLoader::next()
         // All batches consumed; release the workers.
         shutdownWorkers();
     }
-    return result;
+    return std::move(msg.batch);
 }
 
 void
-DataLoader::raiseWorkerError(DataMsg msg)
+DataLoader::raiseWorkerError(BatchMsg msg)
 {
     LOTUS_ASSERT(msg.error.has_value());
     // The epoch cannot continue past a failed batch: release the
@@ -917,27 +676,25 @@ DataLoader::shutdownWorkers()
 {
     // Drop outstanding prefetches first: a worker blocked in a
     // read-ahead claim wakes with a miss, finishes its batch via
-    // synchronous reads, and then observes the closed index queue.
+    // synchronous reads, and then observes the shutdown.
     if (read_ahead_ != nullptr)
         read_ahead_->cancel();
+    if (bound_) {
+        // The shared fleet drains this client's residue as no-ops.
+        generation_ = engine_->beginEpoch(*client_);
+    } else if (engine_ != nullptr) {
+        // Joining the private fleet frees the client state with it.
+        engine_->disconnect(*client_);
+        client_.reset();
+        engine_.reset();
+    }
     for (auto &queue : index_queues_)
         queue->close();
-    if (group_ != nullptr)
-        group_->notifyShutdown();
     for (auto &worker : workers_) {
         if (worker.joinable())
             worker.join();
     }
     workers_.clear();
-    // Builds (and with them every SampleTask the deques ever held)
-    // are only released once no worker can touch them.
-    if (group_ != nullptr) {
-        {
-            std::lock_guard lock(builds_mutex_);
-            builds_.clear();
-        }
-        group_.reset();
-    }
 }
 
 } // namespace lotus::dataflow

@@ -35,7 +35,7 @@
 #include "common/rng.h"
 #include "dataflow/error_policy.h"
 #include "dataflow/fetcher.h"
-#include "dataflow/work_queue.h"
+#include "dataflow/task_engine.h"
 #include "metrics/metrics.h"
 #include "trace/logger.h"
 
@@ -47,11 +47,10 @@ namespace lotus::dataflow {
  * kRoundRobin is the paper-faithful §II-B protocol (static
  * whole-batch assignment, one index queue per worker) and the default
  * — characterization runs must keep it to reproduce the paper's [T2]
- * behavior. kWorkStealing decomposes every batch into per-sample
- * tasks on per-worker Chase–Lev deques: a worker drains its own deque
- * LIFO and steals FIFO from the busiest peer, so an idle fleet
- * collaborates on a straggler's batch instead of waiting behind it
- * (index queues collapse into one shared queue; see DESIGN.md §10).
+ * behavior. kWorkStealing runs the epoch on a private task engine
+ * (dataflow/task_engine.h): every batch decomposes into per-sample
+ * tasks on one shared task queue, so an idle fleet collaborates on a
+ * straggler's batch instead of waiting behind it (DESIGN.md §10).
  * Batch contents are bit-identical across both modes and
  * num_workers=0 for the same seed.
  */
@@ -60,20 +59,6 @@ enum class Schedule : std::uint8_t
     kRoundRobin,
     kWorkStealing,
 };
-
-/** Counter family for tasks stolen under Schedule::kWorkStealing,
- *  exported per thief as {worker=N}. */
-inline constexpr const char *kStealsMetric = "lotus_loader_steals_total";
-/** Per-sample tasks executed under Schedule::kWorkStealing. */
-inline constexpr const char *kTasksMetric = "lotus_loader_tasks_total";
-
-/** Measured PMU totals over fetch spans (zero when the perf backend
- *  is unavailable — lotus_top then labels IPC "simulated/off"). */
-inline constexpr const char *kPmuCyclesMetric = "lotus_pmu_cycles_total";
-inline constexpr const char *kPmuInstructionsMetric =
-    "lotus_pmu_instructions_total";
-inline constexpr const char *kPmuLlcMissesMetric =
-    "lotus_pmu_llc_misses_total";
 
 /**
  * Decoded-sample caching mode (see cache/sample_cache.h). The cache
@@ -196,6 +181,23 @@ class DataLoader
     DataLoader(const DataLoader &) = delete;
     DataLoader &operator=(const DataLoader &) = delete;
 
+    /**
+     * A loader whose batches run on @p engine's shared fleet as one
+     * weighted client (PreprocServer::connect). Its window is
+     * prefetch_factor x num_workers submitted batches; the schedule
+     * option does not apply. Cache and read-ahead must be off
+     * (asserted): the fleet outlives the loader's epochs, so nothing
+     * the fleet's tasks touch may be rebuilt under them — for the same
+     * reason reconfigure() is fatal on a connected loader. Refused
+     * (kRejected) when the engine is at its client cap. The loader
+     * disconnects on destruction.
+     */
+    static Result<std::unique_ptr<DataLoader>>
+    connect(std::shared_ptr<TaskEngine> engine,
+            std::shared_ptr<const pipeline::Dataset> dataset,
+            std::shared_ptr<const pipeline::Collate> collate,
+            DataLoaderOptions options, double weight);
+
     /** Batches one epoch will produce. */
     std::int64_t numBatches() const;
 
@@ -243,24 +245,18 @@ class DataLoader
      * rebuilds or tears down the read-ahead engine as the depth
      * moves through 0. Batch contents are unaffected: every field of
      * LoaderReconfig is content-neutral by the reseeding contract.
+     * Fatal on a connect()ed loader: its fleet belongs to the server.
      */
     void reconfigure(const LoaderReconfig &next);
 
-    /**
-     * Mark this loader as co-hosted with preprocessing service
-     * @p service (PreprocServer::adoptLoader calls this). An attached
-     * loader refuses fleet-level reconfiguration — num_workers and
-     * schedule belong to the server's shared fleet, and a tuner
-     * driving them per client would silently fight the server's
-     * weighted-fair scheduler. Per-client knobs (prefetch_factor,
-     * read_ahead_depth, io_threads) stay reconfigurable.
-     */
-    void attachToService(const std::string &service);
+    /** 0-based epoch counter: advances on a re-startEpoch after a
+     *  started epoch; an error-aborted epoch replays its number. */
+    std::int64_t epoch() const { return epoch_; }
 
-    /** The adopting service's name, or "" when standalone. */
-    const std::string &attachedService() const
+    /** The engine client id of a connect()ed loader, else -1. */
+    std::int64_t clientId() const
     {
-        return attached_service_;
+        return bound_ ? client_->id : -1;
     }
 
     /** The decoded-sample cache, or null when cache_policy is kNone
@@ -278,43 +274,28 @@ class DataLoader
     std::vector<std::uint32_t> workerPids() const;
 
   private:
-    struct DataMsg
-    {
-        std::int64_t batch_id = -1;
-        int worker_id = -1;
-        pipeline::Batch batch;
-        /** Set when the worker's fetch failed unrecoverably; batch is
-         *  then empty and next() re-raises as a LoaderError. */
-        std::optional<Error> error;
-    };
-
     struct IndexMsg
     {
         std::int64_t batch_id = -1;
         std::vector<std::int64_t> indices;
     };
 
+    /** Round-robin worker body: fetch whole batches from its own
+     *  index queue onto the shared data queue. */
     void workerLoop(int worker_id);
-    /** Worker body under Schedule::kWorkStealing: pop own deque,
-     *  steal from the busiest peer, else decompose a new batch. */
-    void stealingLoop(int worker_id);
-    /** Split an IndexMsg into per-sample tasks on @p worker's deque. */
-    void decomposeBatch(int worker_id, IndexMsg msg);
-    /** Resolve one task's slot; the countdown's last writer collates. */
-    void runTask(int worker_id, SampleTask *task,
-                 pipeline::PipelineContext &ctx, Rng &rng);
-    /** Last-finishing worker: pick the batch outcome, collate, ship. */
-    void completeBatch(int worker_id, BatchBuild &build,
-                       pipeline::PipelineContext &ctx);
-    bool workStealing() const
+    /** True when batches run on a TaskEngine (private or shared). */
+    bool usesEngine() const
     {
-        return options_.schedule == Schedule::kWorkStealing &&
-               options_.num_workers > 0;
+        return bound_ || (options_.schedule == Schedule::kWorkStealing &&
+                          options_.num_workers > 0);
     }
-    void tryPutIndex(int worker_id);
+    /** Send batch send_idx_ to round-robin worker @p worker_id's index
+     *  queue, or submit it to the engine; no-op past the plan. */
+    void sendNext(int worker_id);
+    ClientSpec clientSpec(double weight) const;
     void pinBatch(pipeline::Batch &batch) const;
     /** Shut the epoch down and re-raise a worker's sample error. */
-    [[noreturn]] void raiseWorkerError(DataMsg msg);
+    [[noreturn]] void raiseWorkerError(BatchMsg msg);
     void shutdownWorkers();
     void rebuildBatches();
     void registerMetrics();
@@ -333,27 +314,17 @@ class DataLoader
         metrics::Histogram *wait_ns = nullptr;
         metrics::Gauge *data_queue_depth = nullptr;
         metrics::Gauge *pin_cache_size = nullptr;
-        /** Indexed by worker id (one "main" entry when num_workers=0). */
+        /** Indexed by worker id (one "main" entry when num_workers=0);
+         *  engine epochs record fetches in the engine's series. */
         std::vector<metrics::Histogram *> fetch_ns;
         std::vector<metrics::Gauge *> index_queue_depth;
-        /** Work-stealing telemetry: per-sample tasks executed, tasks
-         *  stolen per thief, and first-task-to-collate batch span. */
-        metrics::Counter *tasks_total = nullptr;
-        std::vector<metrics::Counter *> steals;
-        metrics::Histogram *batch_span_ns = nullptr;
-        /** Measured per-thread PMU deltas summed over fetch spans
-         *  (stay zero on the simulated backend). */
-        metrics::Counter *pmu_cycles = nullptr;
-        metrics::Counter *pmu_instructions = nullptr;
-        metrics::Counter *pmu_llc_misses = nullptr;
     };
 
     std::shared_ptr<const pipeline::Dataset> dataset_;
-    Fetcher fetcher_;
+    /** Shared with the engine's client state, which must outlive this
+     *  loader while a fleet worker still runs one of its tasks. */
+    std::shared_ptr<Fetcher> fetcher_;
     DataLoaderOptions options_;
-    /** Non-empty once adopted by a PreprocServer (see
-     *  attachToService): fleet-level reconfigure is then fatal. */
-    std::string attached_service_;
     std::uint32_t main_pid_;
     /** Decoded-sample cache shared with fetcher_ (null = off). */
     std::shared_ptr<cache::SampleCache> cache_;
@@ -367,29 +338,30 @@ class DataLoader
     bool epoch_started_ = false;
     /** Epoch counter driving the per-epoch reshuffle. */
     std::int64_t epoch_ = 0;
+    // Round-robin state (empty on engine epochs).
     std::vector<std::unique_ptr<MpmcQueue<IndexMsg>>> index_queues_;
-    std::unique_ptr<MpmcQueue<DataMsg>> data_queue_;
+    std::unique_ptr<MpmcQueue<BatchMsg>> data_queue_;
     std::vector<std::thread> workers_;
     std::vector<std::uint32_t> worker_pids_;
     mutable std::mutex worker_pids_mutex_;
     /** Signaled by each worker once it has announced its pid. */
     std::condition_variable worker_ready_cv_;
 
+    // Engine state: a private engine lives for one epoch; a shared
+    // one (bound_) for the loader's lifetime.
+    std::shared_ptr<TaskEngine> engine_;
+    std::shared_ptr<ClientState> client_;
+    /** Set by connect(): engine_ belongs to a PreprocServer. */
+    bool bound_ = false;
+    /** The epoch incarnation batches are submitted under; messages
+     *  from any other generation are residue of a canceled epoch. */
+    std::uint64_t generation_ = 0;
+
     std::int64_t send_idx_ = 0;
     std::int64_t rcvd_idx_ = 0;
     /** Early out-of-order arrivals (batches pinned; errors held until
      *  their turn so failures surface in batch order). */
-    std::map<std::int64_t, DataMsg> reorder_cache_;
-    std::map<std::int64_t, int> batch_worker_;
-
-    // Work-stealing state (null / empty under kRoundRobin).
-    /** The epoch's deques + idle coordination; rebuilt per epoch. */
-    std::unique_ptr<StealGroup> group_;
-    /** In-flight batch assemblies. Retained until the epoch's workers
-     *  join so stolen task pointers can never dangle; the heavy
-     *  payload leaves at collate, so retention is cheap. */
-    std::vector<std::unique_ptr<BatchBuild>> builds_;
-    std::mutex builds_mutex_;
+    std::map<std::int64_t, BatchMsg> reorder_cache_;
     /** epochSeedBase(seed, epoch); drives per-sample RNG reseeding. */
     std::uint64_t epoch_seed_base_ = 0;
 

@@ -1,6 +1,7 @@
 #include "dataflow/fetcher.h"
 
 #include "common/clock.h"
+#include "dataflow/task_runner.h"
 #include "metrics/metrics.h"
 #include "pipeline/traced_store.h"
 
@@ -25,7 +26,7 @@ Fetcher::fetch(std::int64_t batch_id,
 {
     Result<pipeline::Batch> batch =
         tryFetch(batch_id, indices, ctx, ErrorHandling{ErrorPolicy::kFail},
-                 std::move(reuse));
+                 /*seed_base=*/0, std::move(reuse));
     if (!batch.ok())
         LOTUS_FATAL("batch %lld: %s", static_cast<long long>(batch_id),
                     batch.error().describe().c_str());
@@ -129,74 +130,50 @@ Fetcher::getSample(std::int64_t index, pipeline::PipelineContext &ctx) const
 }
 
 Result<pipeline::Sample>
-Fetcher::fetchSample(std::int64_t index, pipeline::PipelineContext &ctx,
-                     const ErrorHandling &errors,
-                     const FetchSeeding &seeding) const
+Fetcher::attempt(const SampleTask &task, pipeline::PipelineContext &ctx) const
 {
-    const std::int64_t size = dataset_->size();
-    std::int64_t current = index;
-    int retries_left = errors.max_retries;
-    int refills_left = errors.max_refill_attempts;
-    for (;;) {
-        ctx.sample_index = current;
-        // Reseed per attempt, keyed on the *current* candidate: a
-        // kSkip refill draws what the replacement index would have
-        // drawn in its own slot, and a kRetry re-read replays the
-        // same stream (see FetchSeeding).
-        if (seeding.per_sample && ctx.rng != nullptr)
-            *ctx.rng = Rng(sampleRngSeed(seeding.epoch_base, current));
-        Result<pipeline::Sample> sample = getSample(current, ctx);
-        if (sample.ok())
-            return sample;
-        noteSampleError(sample.error(), current, ctx, errors.policy);
-        switch (errors.policy) {
-          case ErrorPolicy::kFail:
-            return sample.takeError();
-          case ErrorPolicy::kRetry:
-            // Bounded same-index retries clear transient store
-            // hiccups; anything else is real corruption and fails.
-            if (errorIsTransient(sample.error().code) &&
-                retries_left-- > 0)
-                continue;
-            return sample.takeError();
-          case ErrorPolicy::kSkip:
-            // Deterministic refill: walk forward from the bad index
-            // (mod dataset size). May duplicate a sample within the
-            // epoch; keeps batch shape and cadence intact.
-            if (refills_left-- > 0) {
-                current = (current + 1) % size;
-                continue;
-            }
-            return sample.takeError();
-        }
-        LOTUS_PANIC("bad error policy %d",
-                    static_cast<int>(errors.policy));
-    }
+    ctx.sample_index = task.index;
+    // Reseed per attempt, keyed on the *current* candidate: a kSkip
+    // refill draws what the replacement index would have drawn in its
+    // own slot, and a kRetry re-read replays the same stream.
+    if (ctx.rng != nullptr)
+        *ctx.rng = Rng(sampleRngSeed(task.build->seed_base, task.index));
+    return getSample(task.index, ctx);
 }
 
 Result<pipeline::Batch>
 Fetcher::tryFetch(std::int64_t batch_id,
                   const std::vector<std::int64_t> &indices,
                   pipeline::PipelineContext &ctx,
-                  const ErrorHandling &errors, tensor::Tensor reuse,
-                  const FetchSeeding &seeding) const
+                  const ErrorHandling &errors, std::uint64_t seed_base,
+                  tensor::Tensor reuse) const
 {
-    LOTUS_ASSERT(!indices.empty(), "empty batch requested");
+    BatchBuild build;
+    initBuild(build, batch_id, indices, seed_base, errors);
     ctx.batch_id = batch_id;
-
-    std::vector<pipeline::Sample> samples;
-    samples.reserve(indices.size());
-    for (const auto index : indices) {
-        Result<pipeline::Sample> sample =
-            fetchSample(index, ctx, errors, seeding);
-        if (!sample.ok()) {
-            ctx.sample_index = -1;
-            return sample.takeError();
+    for (SampleTask &task : build.tasks) {
+        while (resolveTask(&task, attempt(task, ctx), errors,
+                           dataset_->size(),
+                           ctx) == TaskOutcome::kRequeue) {
         }
-        samples.push_back(sample.take());
+        // Sequential fetches stop at the first failed slot.
+        if (build.errors[static_cast<std::size_t>(task.slot)].has_value())
+            break;
     }
     ctx.sample_index = -1;
-    return collateBatch(batch_id, std::move(samples), ctx,
+    return finishBuild(build, ctx, std::move(reuse));
+}
+
+Result<pipeline::Batch>
+Fetcher::finishBuild(BatchBuild &build, pipeline::PipelineContext &ctx,
+                     tensor::Tensor reuse) const
+{
+    for (std::optional<Error> &error : build.errors) {
+        if (error.has_value())
+            return std::move(*error);
+    }
+    ctx.batch_id = build.batch_id;
+    return collateBatch(build.batch_id, std::move(build.samples), ctx,
                         std::move(reuse));
 }
 

@@ -14,6 +14,7 @@
 #include "cache/sample_cache.h"
 #include "dataflow/error_policy.h"
 #include "dataflow/read_ahead.h"
+#include "dataflow/work_queue.h"
 #include "hwcount/registry.h"
 #include "pipeline/collate.h"
 #include "pipeline/dataset.h"
@@ -35,27 +36,17 @@ void noteSampleError(const Error &error, std::int64_t sample_index,
                      pipeline::PipelineContext &ctx, ErrorPolicy policy);
 
 /**
- * Augmentation RNG seeding contract (DESIGN.md §10). When
- * `per_sample` is set, the fetch path reseeds ctx.rng with
- * sampleRngSeed(epoch_base, index) immediately before *every* sample
- * attempt — including kSkip refill candidates and kRetry re-reads —
- * so a sample's random draws depend only on (base seed, epoch,
- * dataset index), never on which worker executes it or in what order.
- * This is what makes Schedule::kWorkStealing bit-identical to
- * round-robin and to num_workers=0 for the same seed. Off (the
- * default) preserves a free-running per-caller stream for standalone
- * Fetcher users.
+ * Augmentation RNG seeding contract (DESIGN.md §10): every fetch path
+ * reseeds ctx.rng with sampleRngSeed(epoch_base, index) immediately
+ * before *every* sample attempt — including kSkip refill candidates
+ * and kRetry re-reads — so a sample's random draws depend only on
+ * (base seed, epoch, dataset index), never on which worker executes
+ * it or in what order. This is what makes Schedule::kWorkStealing
+ * bit-identical to round-robin and to num_workers=0 for the same
+ * seed. The seed is a splitmix64-style mix of the epoch base and the
+ * dataset index (not the batch slot), so refilled candidates draw
+ * exactly what they would have drawn in their own slot.
  */
-struct FetchSeeding
-{
-    bool per_sample = false;
-    /** Per-epoch base, e.g. DataLoader's (seed, epoch) mix. */
-    std::uint64_t epoch_base = 0;
-};
-
-/** The per-attempt seed: a splitmix64-style mix of the epoch base and
- *  the dataset index (not the batch slot), so refilled candidates
- *  draw exactly what they would have drawn in their own slot. */
 std::uint64_t sampleRngSeed(std::uint64_t epoch_base,
                             std::int64_t sample_index);
 
@@ -74,7 +65,8 @@ class Fetcher
      * pass a default-constructed tensor to allocate fresh.
      *
      * Fatal on bad sample data — the wrapper for trusted fixtures;
-     * loader paths go through tryFetch.
+     * loader paths go through tryFetch. Samples reseed from epoch
+     * base 0.
      */
     pipeline::Batch fetch(std::int64_t batch_id,
                           const std::vector<std::int64_t> &indices,
@@ -83,28 +75,47 @@ class Fetcher
 
     /**
      * Like fetch(), but recoverable sample errors are resolved by
-     * @p errors: kSkip refills the bad slot from spare indices
+     * @p errors through resolveTask (dataflow/task_runner.h), slot by
+     * slot in order: kSkip refills the bad slot from spare indices
      * ((index + attempt) % dataset size — deterministic, may
      * duplicate a sample within the epoch, keeps the batch full),
      * kRetry re-reads the same index while the error is transient,
      * and kFail (or an unrecoverable error under the other policies)
-     * returns the error, stamped with the failing sample's stage.
-     * Every observed sample error increments
-     * lotus_loader_sample_errors_total{policy,stage} and logs an
-     * ErrorEvent trace record in the worker's lane.
+     * stops at the first failed slot and returns its error, stamped
+     * with the failing sample's stage. Every attempt reseeds ctx.rng
+     * from (@p seed_base, candidate index). Every observed sample
+     * error increments lotus_loader_sample_errors_total{policy,stage}
+     * and logs an ErrorEvent trace record in the worker's lane.
      */
     Result<pipeline::Batch> tryFetch(std::int64_t batch_id,
                                      const std::vector<std::int64_t> &indices,
                                      pipeline::PipelineContext &ctx,
                                      const ErrorHandling &errors,
-                                     tensor::Tensor reuse = {},
-                                     const FetchSeeding &seeding = {}) const;
+                                     std::uint64_t seed_base,
+                                     tensor::Tensor reuse = {}) const;
+
+    /**
+     * One attempt at @p task's current candidate: reseed ctx.rng with
+     * sampleRngSeed(build seed base, candidate), point ctx at the
+     * candidate, and read it through getSample(). The caller hands
+     * the result to resolveTask.
+     */
+    Result<pipeline::Sample> attempt(const SampleTask &task,
+                                     pipeline::PipelineContext &ctx) const;
+
+    /**
+     * The outcome of a fully resolved @p build: the lowest failed
+     * slot's error — the first failure a sequential fetch hits, so
+     * every schedule surfaces the same error for the same seed — or
+     * else the collated batch. Consumes the build's samples/errors.
+     */
+    Result<pipeline::Batch> finishBuild(BatchBuild &build,
+                                        pipeline::PipelineContext &ctx,
+                                        tensor::Tensor reuse = {}) const;
 
     /**
      * Collate already-fetched samples into the batch for @p batch_id,
-     * with the same [T3] "Collate" trace span and hwcount tag as the
-     * fetch paths. The work-stealing scheduler resolves slots across
-     * workers and hands the assembled sample vector here.
+     * with the [T3] "Collate" trace span and hwcount tag.
      */
     pipeline::Batch collateBatch(std::int64_t batch_id,
                                  std::vector<pipeline::Sample> samples,
@@ -117,9 +128,9 @@ class Fetcher
      * Attach a decoded-sample cache. Only engages when the dataset
      * opts in via cacheableSplit(); a non-cacheable dataset keeps the
      * plain tryGet path (warned once at attach time). Every fetch path
-     * — round-robin workers, work-stealing tasks, and the synchronous
-     * loader — funnels single-sample reads through getSample(), so
-     * attaching here covers all three.
+     * — round-robin workers, engine tasks, and the synchronous loader
+     * — funnels single-sample reads through getSample(), so attaching
+     * here covers all three.
      */
     void setCache(std::shared_ptr<cache::SampleCache> cache);
 
@@ -148,12 +159,6 @@ class Fetcher
                                        pipeline::PipelineContext &ctx) const;
 
   private:
-    /** Resolve one batch slot under the error policy. */
-    Result<pipeline::Sample> fetchSample(std::int64_t index,
-                                         pipeline::PipelineContext &ctx,
-                                         const ErrorHandling &errors,
-                                         const FetchSeeding &seeding) const;
-
     std::shared_ptr<const pipeline::Dataset> dataset_;
     std::shared_ptr<const pipeline::Collate> collate_;
     hwcount::OpTag collate_tag_;

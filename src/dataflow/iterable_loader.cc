@@ -50,7 +50,7 @@ IterableDataLoader::workerLoop(int worker_id)
     // differ across epochs (epoch 0 keeps the historical seeds).
     // Unlike the map-style loader, seeding here stays per-(worker,
     // epoch): a sharded stream has no stable global sample index to
-    // key FetchSeeding's per-sample contract on, so iterable results
+    // key the per-sample reseeding contract on, so iterable results
     // remain a function of the shard layout (= worker count).
     constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ull;
     Rng rng((options_.seed + kGolden * static_cast<std::uint64_t>(epoch_)) *

@@ -2,137 +2,7 @@
 
 #include <chrono>
 
-#include "common/logging.h"
-
 namespace lotus::dataflow {
-
-TaskDeque::TaskDeque(std::int64_t capacity)
-{
-    LOTUS_ASSERT(capacity > 0 && (capacity & (capacity - 1)) == 0,
-                 "deque capacity must be a power of two");
-    rings_.push_back(std::make_unique<Ring>(capacity));
-    ring_.store(rings_.back().get(), std::memory_order_relaxed);
-}
-
-TaskDeque::Ring *
-TaskDeque::grow(Ring *old, std::int64_t top, std::int64_t bottom)
-{
-    rings_.push_back(std::make_unique<Ring>(old->capacity * 2));
-    Ring *fresh = rings_.back().get();
-    for (std::int64_t i = top; i < bottom; ++i)
-        fresh->put(i, old->get(i));
-    // Publish after the copy; a thief that still reads the old ring
-    // sees identical entries for every index in [top, bottom).
-    ring_.store(fresh, std::memory_order_release);
-    return fresh;
-}
-
-void
-TaskDeque::push(SampleTask *task)
-{
-    const std::int64_t b = bottom_.load(std::memory_order_relaxed);
-    const std::int64_t t = top_.load(std::memory_order_acquire);
-    Ring *ring = ring_.load(std::memory_order_relaxed);
-    if (b - t >= ring->capacity)
-        ring = grow(ring, t, b);
-    ring->put(b, task);
-    // Release: the slot write (and the task fields the owner set)
-    // become visible to any thief that observes the new bottom.
-    bottom_.store(b + 1, std::memory_order_release);
-}
-
-SampleTask *
-TaskDeque::pop()
-{
-    const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
-    Ring *ring = ring_.load(std::memory_order_relaxed);
-    // seq_cst store/load pair: the reservation of slot b must be
-    // globally ordered against a concurrent thief's top read/CAS
-    // (fence-free Chase–Lev; see the file comment for why no
-    // atomic_thread_fence).
-    bottom_.store(b, std::memory_order_seq_cst);
-    std::int64_t t = top_.load(std::memory_order_seq_cst);
-    if (t > b) {
-        // Deque was empty; undo the reservation.
-        bottom_.store(b + 1, std::memory_order_relaxed);
-        return nullptr;
-    }
-    SampleTask *task = ring->get(b);
-    if (t == b) {
-        // Last element: race the thieves for it via top.
-        if (!top_.compare_exchange_strong(t, t + 1,
-                                          std::memory_order_seq_cst,
-                                          std::memory_order_relaxed))
-            task = nullptr; // a thief won
-        bottom_.store(b + 1, std::memory_order_relaxed);
-        return task;
-    }
-    return task;
-}
-
-SampleTask *
-TaskDeque::steal()
-{
-    std::int64_t t = top_.load(std::memory_order_seq_cst);
-    const std::int64_t b = bottom_.load(std::memory_order_seq_cst);
-    if (t >= b)
-        return nullptr;
-    Ring *ring = ring_.load(std::memory_order_acquire);
-    SampleTask *task = ring->get(t);
-    // The slot stays valid until top moves past t (push never laps
-    // top), so a successful CAS hands us exactly the task we read.
-    if (!top_.compare_exchange_strong(t, t + 1,
-                                      std::memory_order_seq_cst,
-                                      std::memory_order_relaxed))
-        return nullptr; // lost the race; caller retries elsewhere
-    return task;
-}
-
-std::int64_t
-TaskDeque::sizeEstimate() const
-{
-    const std::int64_t b = bottom_.load(std::memory_order_relaxed);
-    const std::int64_t t = top_.load(std::memory_order_relaxed);
-    return b > t ? b - t : 0;
-}
-
-StealGroup::StealGroup(int num_workers)
-{
-    LOTUS_ASSERT(num_workers > 0);
-    deques_.reserve(static_cast<std::size_t>(num_workers));
-    for (int w = 0; w < num_workers; ++w)
-        deques_.push_back(std::make_unique<TaskDeque>());
-}
-
-SampleTask *
-StealGroup::stealBusiest(int thief, int *victim_out)
-{
-    const int n = size();
-    // Two passes: a failed CAS (or a just-drained victim) gets one
-    // re-scan before the caller falls back to the index queue.
-    for (int attempt = 0; attempt < 2; ++attempt) {
-        int victim = -1;
-        std::int64_t best = 0;
-        for (int w = 0; w < n; ++w) {
-            if (w == thief)
-                continue;
-            const std::int64_t depth = deques_[static_cast<std::size_t>(w)]
-                                           ->sizeEstimate();
-            if (depth > best) {
-                best = depth;
-                victim = w;
-            }
-        }
-        if (victim < 0)
-            return nullptr;
-        if (SampleTask *task =
-                deques_[static_cast<std::size_t>(victim)]->steal()) {
-            *victim_out = victim;
-            return task;
-        }
-    }
-    return nullptr;
-}
 
 std::uint64_t
 WorkSignal::workEpoch() const

@@ -1,26 +1,25 @@
 /**
  * @file
- * The training-side handle onto a PreprocServer: a DataLoader-shaped
- * epoch cursor (numBatches / startEpoch / next) whose fetching runs
- * on the server's shared fleet instead of a private worker pool.
+ * The training-side handle onto a PreprocServer: a thin wrapper over
+ * a DataLoader bound to the server's shared task engine.
  *
- * The client owns the epoch state machine — the batch plan, the
+ * The loader owns the epoch state machine — the batch plan, the
  * submission pacing (prefetch_batches ahead of consumption), and the
- * in-order reorder buffer — and the server owns execution. next()
- * blocks on the transport exactly like DataLoader::next() blocks on
- * its data queue, so the recorded wait is the same [T2] quantity,
- * exported per client as lotus_service_wait_ns{client=N}.
+ * in-order reorder buffer — and the server's fleet owns execution.
+ * next() blocks on the client's outbound queue exactly like a solo
+ * work-stealing loader, so the recorded wait is the same [T2]
+ * quantity, also exported per client as
+ * lotus_service_wait_ns{client=N}.
  */
 
 #ifndef LOTUS_SERVICE_LOADER_CLIENT_H
 #define LOTUS_SERVICE_LOADER_CLIENT_H
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
-#include <vector>
 
+#include "dataflow/data_loader.h"
 #include "service/preproc_server.h"
 
 namespace lotus::service {
@@ -30,16 +29,16 @@ class LoaderClient
   public:
     /** Disconnects: the server cancels and drains any outstanding
      *  work without stalling other clients. */
-    ~LoaderClient();
+    ~LoaderClient() = default;
 
     LoaderClient(const LoaderClient &) = delete;
     LoaderClient &operator=(const LoaderClient &) = delete;
 
-    std::int64_t id() const { return state_->id; }
-    const ClientConfig &config() const { return state_->config; }
+    std::int64_t id() const { return loader_->clientId(); }
+    const ClientConfig &config() const { return config_; }
 
     /** Batches one epoch will produce (same plan as a solo loader). */
-    std::int64_t numBatches() const;
+    std::int64_t numBatches() const { return loader_->numBatches(); }
 
     /**
      * Begin an epoch: cancel any outstanding incarnation, rebuild the
@@ -47,44 +46,32 @@ class LoaderClient
      * the first prefetch_batches. Called implicitly by the first
      * next(); explicit restart supports multi-epoch use.
      */
-    void startEpoch();
+    void startEpoch() { loader_->startEpoch(); }
 
     /**
      * Next in-order batch, or nullopt at epoch end. Blocks on the
-     * transport as needed ([T2]). Under ErrorPolicy::kFail (and
+     * shared fleet as needed ([T2]). Under ErrorPolicy::kFail (and
      * exhausted kRetry/kSkip) a failed batch surfaces here as a
      * LoaderError in batch order — the epoch is then aborted
      * (outstanding work drains server-side) and needs an explicit
      * startEpoch() to run again, matching DataLoader::next().
      */
-    std::optional<pipeline::Batch> next();
+    std::optional<pipeline::Batch> next() { return loader_->next(); }
 
     /** 0-based epoch counter (increments on re-startEpoch). */
-    std::int64_t epoch() const { return epoch_; }
+    std::int64_t epoch() const { return loader_->epoch(); }
 
   private:
     friend class PreprocServer;
 
-    LoaderClient(PreprocServer *server,
-                 std::shared_ptr<ClientState> state);
+    LoaderClient(ClientConfig config,
+                 std::unique_ptr<dataflow::DataLoader> loader)
+        : config_(std::move(config)), loader_(std::move(loader))
+    {
+    }
 
-    /** Submit until prefetch_batches are in flight or the plan is
-     *  exhausted. */
-    void pump();
-
-    PreprocServer *const server_;
-    const std::shared_ptr<ClientState> state_;
-
-    std::vector<std::vector<std::int64_t>> batches_;
-    bool epoch_started_ = false;
-    std::int64_t epoch_ = 0;
-    std::int64_t send_idx_ = 0;
-    std::int64_t rcvd_idx_ = 0;
-    std::uint64_t seed_base_ = 0;
-    /** Live epoch incarnation; messages from others are dropped. */
-    std::uint64_t generation_ = 0;
-    /** Early out-of-order arrivals, held until their turn. */
-    std::map<std::int64_t, BatchMsg> reorder_;
+    const ClientConfig config_;
+    const std::unique_ptr<dataflow::DataLoader> loader_;
 };
 
 } // namespace lotus::service

@@ -1,73 +1,45 @@
 /**
  * @file
- * Multi-tenant preprocessing service over the work-stealing substrate
- * (the tf.data-service direction, PAPERS.md arXiv:2101.12127).
+ * Multi-tenant preprocessing service over the task engine (the
+ * tf.data-service direction, PAPERS.md arXiv:2101.12127).
  *
- * One PreprocServer owns one worker fleet; N concurrent training
- * clients (LoaderClient, src/service/loader_client.h) each bring
- * their own dataset view, seed, batch size, and ErrorPolicy, submit
- * per-sample tasks into per-client Chase–Lev deques, and stream built
- * batches back over a BatchTransport. The scheduler is weighted-fair:
- * victim selection orders clients by virtual time (executed service
- * nanoseconds / weight), so a heavy-tailed tenant self-penalizes
- * instead of inflating a light tenant's [T2] tail (the MinatoLoader
- * fast-lane motivation, arXiv:2509.10712). Admission control bounds
- * the client count and per-client in-flight samples; per-client
- * outbound queues are bounded by an admission rule rather than a
- * blocking push, so a slow consumer can never wedge a fleet worker.
+ * One PreprocServer owns one shared dataflow::TaskEngine; N concurrent
+ * training clients (LoaderClient, src/service/loader_client.h) each
+ * bring their own dataset view, seed, batch size, and ErrorPolicy.
+ * Every client is a DataLoader bound to the server's engine, so the
+ * service runs the same decompose / task / finish code, the same
+ * reorder buffer, and the same retry/skip walk as a solo work-stealing
+ * loader. The engine schedules weighted-fair (victims ordered by
+ * executed service nanoseconds / weight), and its admission control
+ * bounds the client count and per-client in-flight work, so a slow
+ * consumer can never wedge a fleet worker.
  *
- * Determinism contract (DESIGN.md §15): every client's batches are
+ * Determinism contract (DESIGN.md §10): every client's batches are
  * bit-identical to a solo DataLoader with the same config, because
- * the batch plan (sampler::epochBatchPlan), the per-epoch seed mix
- * (task_runner::epochSeedBase), the per-sample reseeding
- * (fetcher::sampleRngSeed via BatchBuild::seed_base), and the
- * retry/skip candidate walk (task_runner::resolveTask) are the same
- * code the solo loader runs.
+ * the client *is* a DataLoader and only the fleet is shared.
  */
 
 #ifndef LOTUS_SERVICE_PREPROC_SERVER_H
 #define LOTUS_SERVICE_PREPROC_SERVER_H
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <string>
-#include <thread>
-#include <vector>
 
-#include "dataflow/data_loader.h"
 #include "dataflow/error_policy.h"
-#include "dataflow/fetcher.h"
-#include "dataflow/work_queue.h"
-#include "metrics/metrics.h"
-#include "service/transport.h"
+#include "dataflow/task_engine.h"
+#include "trace/logger.h"
 
 namespace lotus::service {
 
 class LoaderClient;
 
-/** Per-client task executions, exported as {client=N}. */
-inline constexpr const char *kServiceTasksMetric =
-    "lotus_service_tasks_total";
-/** Per-client batches shipped, exported as {client=N}. */
-inline constexpr const char *kServiceBatchesMetric =
-    "lotus_service_batches_total";
-/** Per-client [T2] wait (client blocked in next()), {client=N}. */
-inline constexpr const char *kServiceWaitNsMetric =
-    "lotus_service_wait_ns";
-/** Per-client outbound (built, unconsumed) batch backlog, {client=N}. */
-inline constexpr const char *kServiceQueueDepthMetric =
-    "lotus_service_queue_depth";
-/** Per-client decomposed-but-unfinished samples, {client=N}. */
-inline constexpr const char *kServiceInflightMetric =
-    "lotus_service_inflight_samples";
-/** Live (connected) clients. */
-inline constexpr const char *kServiceClientsMetric =
-    "lotus_service_clients";
-/** Connections refused by admission control. */
-inline constexpr const char *kServiceRejectedMetric =
-    "lotus_service_rejected_total";
+using dataflow::kServiceBatchesMetric;
+using dataflow::kServiceClientsMetric;
+using dataflow::kServiceInflightMetric;
+using dataflow::kServiceQueueDepthMetric;
+using dataflow::kServiceRejectedMetric;
+using dataflow::kServiceTasksMetric;
+using dataflow::kServiceWaitNsMetric;
 
 struct ServerOptions
 {
@@ -85,11 +57,9 @@ struct ServerOptions
     /**
      * Per-client backpressure: in-flight builds plus unconsumed
      * outbound batches never exceed this, enforced at decompose time
-     * so completion's transport send can never block a worker.
+     * so a finisher's push never outruns a slow consumer.
      */
     int outbound_capacity = 4;
-    /** Name reported by adopted loaders' reconfigure guard. */
-    std::string name = "preproc";
 };
 
 /** One client's loader-equivalent configuration (the solo-DataLoader
@@ -119,110 +89,8 @@ struct ClientConfig
     trace::TraceLogger *logger = nullptr;
 };
 
-/** One not-yet-decomposed batch submission from a client. */
-struct Submission
-{
-    std::int64_t batch_id = -1;
-    std::vector<std::int64_t> indices;
-    /** epochSeedBase(seed, epoch) of the submitting epoch. */
-    std::uint64_t seed_base = 0;
-    /** Epoch incarnation; stale generations drain as no-ops. */
-    std::uint64_t generation = 0;
-};
-
-/**
- * Server-side per-client state. Tasks live in one TaskDeque per
- * client that fleet workers consume exclusively through steal() (any
- * thread); pushes — decompose and retry/skip requeue — serialize on
- * push_mutex, whose holder plays the Chase–Lev owner role. pop() is
- * never called, so there is no owner thread to conflict with.
- */
-struct ClientState
-{
-    ClientState(std::int64_t client_id,
-                std::shared_ptr<const pipeline::Dataset> dataset_in,
-                std::shared_ptr<const pipeline::Collate> collate,
-                const ClientConfig &config_in)
-        : id(client_id), config(config_in), dataset(dataset_in),
-          fetcher(std::move(dataset_in), std::move(collate)),
-          errors{config_in.error_policy, config_in.max_retries,
-                 config_in.max_refill_attempts},
-          transport(std::make_shared<QueueTransport>())
-    {
-    }
-
-    const std::int64_t id;
-    const ClientConfig config;
-    const std::shared_ptr<const pipeline::Dataset> dataset;
-    dataflow::Fetcher fetcher;
-    const dataflow::ErrorHandling errors;
-
-    dataflow::TaskDeque deque;
-    /** Serializes owner-role deque pushes (decompose / requeue). */
-    std::mutex push_mutex;
-    MpmcQueue<Submission> pending;
-
-    std::atomic<std::int64_t> inflight_samples{0};
-    std::atomic<std::int64_t> peak_inflight{0};
-    std::atomic<int> inflight_builds{0};
-    /** Weighted-fair numerator: executed fetch nanoseconds. */
-    std::atomic<std::uint64_t> service_ns{0};
-    /** Epoch incarnation; bumped by startEpoch / disconnect. */
-    std::atomic<std::uint64_t> generation{0};
-    std::atomic<bool> disconnected{false};
-
-    std::atomic<std::uint64_t> executed_tasks{0};
-    std::atomic<std::uint64_t> dropped_tasks{0};
-    std::atomic<std::uint64_t> shipped_batches{0};
-
-    const std::shared_ptr<BatchTransport> transport;
-
-    /** In-flight builds; an entry is erased by the completing worker
-     *  (after the last slot resolves no task pointer survives). */
-    std::mutex builds_mutex;
-    std::vector<std::unique_ptr<dataflow::BatchBuild>> builds;
-
-    metrics::Counter *tasks_metric = nullptr;
-    metrics::Counter *batches_metric = nullptr;
-    metrics::Histogram *wait_ns_metric = nullptr;
-    metrics::Gauge *queue_depth_metric = nullptr;
-    metrics::Gauge *inflight_metric = nullptr;
-
-    /** Virtual time: lower runs first. Relaxed reads — fairness is a
-     *  scheduling heuristic, not a correctness edge. */
-    double
-    vtime() const
-    {
-        return static_cast<double>(
-                   service_ns.load(std::memory_order_relaxed)) /
-               config.weight;
-    }
-};
-
-/** Point-in-time per-client accounting (tests, benches, lotus_top). */
-struct ClientStats
-{
-    std::int64_t id = -1;
-    double weight = 1.0;
-    std::uint64_t executed_tasks = 0;
-    std::uint64_t dropped_tasks = 0;
-    std::uint64_t shipped_batches = 0;
-    std::int64_t inflight_samples = 0;
-    std::int64_t peak_inflight_samples = 0;
-    std::uint64_t service_ns = 0;
-    bool disconnected = false;
-};
-
-struct ServerStats
-{
-    int live_clients = 0;
-    std::uint64_t rejected_connects = 0;
-    /** Samples canceled across all clients ever (canceled epochs /
-     *  disconnects) — stale tasks drained as no-ops plus submissions
-     *  discarded before decomposition; survives client reaping. */
-    std::uint64_t dropped_tasks = 0;
-    std::vector<ClientStats> clients;
-};
+using ClientStats = dataflow::ClientStats;
+using ServerStats = dataflow::EngineStats;
 
 class PreprocServer
 {
@@ -248,76 +116,13 @@ class PreprocServer
             std::shared_ptr<const pipeline::Collate> collate,
             ClientConfig config);
 
-    /**
-     * Guard-rail registration for a DataLoader co-hosted with this
-     * server's fleet: marks the loader so fleet-level reconfigure()
-     * calls (num_workers / schedule) become fatal instead of silently
-     * fighting the shared fleet (see DataLoader::attachToService).
-     */
-    void
-    adoptLoader(dataflow::DataLoader &loader) const
-    {
-        loader.attachToService(options_.name);
-    }
-
-    ServerStats stats() const;
+    ServerStats stats() const { return engine_->stats(); }
 
     const ServerOptions &options() const { return options_; }
 
   private:
-    friend class LoaderClient;
-
-    void workerLoop(int worker_id);
-    /** Steal one task from the min-vtime client with work; true when
-     *  a task ran. */
-    bool runOneTask(int worker_id, pipeline::PipelineContext &ctx,
-                    Rng &rng);
-    /** Decompose the min-vtime admissible pending submission; true
-     *  when one was decomposed. */
-    bool tryDecompose(int worker_id);
-    /** Admission rule for decomposing @p client's next batch. */
-    bool admissible(const ClientState &client) const;
-    void decompose(ClientState &client, Submission submission,
-                   int worker_id);
-    void executeTask(ClientState &client, dataflow::SampleTask *task,
-                     int worker_id, pipeline::PipelineContext &ctx,
-                     Rng &rng);
-    /** Last-finisher path: collate and ship, or drop a canceled
-     *  build; frees the build and the in-flight budget either way. */
-    void finishBatch(ClientState &client, dataflow::BatchBuild &build,
-                     int worker_id, pipeline::PipelineContext &ctx);
-
-    /** Discard @p client's undecomposed submissions, counting their
-     *  samples as dropped (canceled-epoch accounting stays complete
-     *  whether or not decomposition got to a batch). */
-    void drainPending(ClientState &client);
-
-    /** Client-side entry points (via LoaderClient). */
-    void submit(ClientState &client, Submission submission);
-    /** Cancel outstanding work and open the next epoch incarnation;
-     *  returns the new generation. */
-    std::uint64_t beginEpoch(ClientState &client);
-    void disconnect(const std::shared_ptr<ClientState> &client);
-
-    /** Live clients sorted by ascending vtime (id tie-break). */
-    std::vector<std::shared_ptr<ClientState>> clientsByVtime() const;
-    /** Drop fully-drained disconnected clients from the roster. */
-    void reapDisconnected();
-
     const ServerOptions options_;
-
-    mutable std::mutex clients_mutex_;
-    std::vector<std::shared_ptr<ClientState>> clients_;
-    std::int64_t next_client_id_ = 0;
-    std::atomic<std::uint64_t> rejected_{0};
-    std::atomic<std::uint64_t> total_dropped_{0};
-
-    dataflow::WorkSignal signal_;
-    std::atomic<bool> shutdown_{false};
-    std::vector<std::thread> workers_;
-
-    metrics::Gauge *clients_metric_ = nullptr;
-    metrics::Counter *rejected_metric_ = nullptr;
+    std::shared_ptr<dataflow::TaskEngine> engine_;
 };
 
 } // namespace lotus::service

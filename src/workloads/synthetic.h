@@ -106,7 +106,8 @@ struct HeavyTailCostConfig
  * contents are pure functions of (index, ctx.rng draws) — a
  * scheduler-determinism probe: each sample's tensor mixes the index
  * with draws from the per-sample RNG stream, so bit-identical epochs
- * across schedules prove the FetchSeeding contract end to end.
+ * across schedules prove the per-sample reseeding contract end to
+ * end.
  */
 class HeavyTailCostDataset : public pipeline::Dataset
 {

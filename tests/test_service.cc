@@ -2,18 +2,20 @@
  * @file
  * Multi-tenant preprocessing service suite: per-client bit-identity
  * against a solo DataLoader under every ErrorPolicy (the DESIGN.md
- * §15 determinism contract), multi-epoch replay, weighted fairness
+ * §10 determinism contract), multi-epoch replay, weighted fairness
  * under a synthetic noisy neighbor, admission control (client cap and
  * in-flight sample cap), mid-epoch disconnect draining without
- * stalling other tenants, and the reconfigure guard rail on adopted
- * loaders. Runs under TSan (tools/run_tsan.sh) and ASan/UBSan
- * (tools/run_sanitizers.sh).
+ * stalling other tenants, and client state outliving a LoaderClient
+ * destroyed mid-task. Runs under TSan (tools/run_tsan.sh) and
+ * ASan/UBSan (tools/run_sanitizers.sh).
  */
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -85,6 +87,53 @@ class ProbeDataset : public pipeline::Dataset
   private:
     std::int64_t size_;
     std::function<TimeNs(std::int64_t)> cost_fn_;
+};
+
+/** ProbeDataset whose get() of one index parks until the test
+ *  releases it: pins a fleet worker inside a task on demand. */
+class GatedDataset : public ProbeDataset
+{
+  public:
+    GatedDataset(std::int64_t size, std::int64_t gated_index)
+        : ProbeDataset(size), gated_index_(gated_index)
+    {
+    }
+
+    Sample
+    get(std::int64_t index, PipelineContext &ctx) const override
+    {
+        if (index == gated_index_) {
+            std::unique_lock lock(mutex_);
+            entered_ = true;
+            cv_.notify_all();
+            cv_.wait(lock, [this] { return released_; });
+        }
+        return ProbeDataset::get(index, ctx);
+    }
+
+    void
+    waitEntered() const
+    {
+        std::unique_lock lock(mutex_);
+        cv_.wait(lock, [this] { return entered_; });
+    }
+
+    void
+    release()
+    {
+        {
+            std::lock_guard lock(mutex_);
+            released_ = true;
+        }
+        cv_.notify_all();
+    }
+
+  private:
+    const std::int64_t gated_index_;
+    mutable std::mutex mutex_;
+    mutable std::condition_variable cv_;
+    mutable bool entered_ = false;
+    bool released_ = false;
 };
 
 std::vector<std::uint8_t>
@@ -488,31 +537,68 @@ TEST(Service, DisconnectMidEpochDrainsWithoutStallingOthers)
     EXPECT_GT(stats.dropped_tasks, 0u);
 }
 
-TEST(Service, ReconfigureGuardRailOnAdoptedLoader)
+/** Poll the roster until @p done holds (workers reap when idle). */
+ServerStats
+awaitStats(const PreprocServer &server,
+           const std::function<bool(const ServerStats &)> &done)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    auto dataset = std::make_shared<ProbeDataset>(8);
-    DataLoaderOptions options;
-    options.batch_size = 2;
-    options.num_workers = 2;
-    DataLoader loader(dataset,
-                      std::make_shared<pipeline::StackCollate>(), options);
-    PreprocServer server({.num_workers = 1, .name = "svc"});
-    server.adoptLoader(loader);
-    EXPECT_EQ(loader.attachedService(), "svc");
+    const TimeNs deadline =
+        SteadyClock::instance().now() + 5'000 * kMillisecond;
+    ServerStats stats = server.stats();
+    while (!done(stats) && SteadyClock::instance().now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        stats = server.stats();
+    }
+    return stats;
+}
 
-    // Fleet-level knobs are fatal on an adopted loader...
-    dataflow::LoaderReconfig fleet_change;
-    fleet_change.num_workers = 4;
-    EXPECT_DEATH(loader.reconfigure(fleet_change),
-                 "attached to preprocessing service 'svc'");
+TEST(Service, ClientDestroyedMidTaskKeepsItsStateUntilTheTaskEnds)
+{
+    // The engine's ownership rule: a fleet worker inside a client's
+    // task holds that client's state — Fetcher, dataset, build — so
+    // destroying the LoaderClient (and with it the DataLoader) under
+    // the running task must not free anything the task touches.
+    auto gated = std::make_shared<GatedDataset>(8, /*gated_index=*/0);
+    auto fast_dataset = std::make_shared<ProbeDataset>(48);
+    ClientConfig fast_config{.batch_size = 4, .shuffle = true, .seed = 31};
+    const auto expected = soloEpochBytes(
+        fast_dataset, fast_config, Schedule::kWorkStealing, 2);
 
-    // ...but per-client pacing knobs stay tunable.
-    dataflow::LoaderReconfig pacing;
-    pacing.num_workers = options.num_workers;
-    pacing.prefetch_factor = 3;
-    loader.reconfigure(pacing);
-    SUCCEED();
+    PreprocServer server({.num_workers = 2});
+    auto survivor = server
+                        .connect(fast_dataset,
+                                 std::make_shared<pipeline::StackCollate>(),
+                                 fast_config)
+                        .take();
+    {
+        // One one-sample batch in flight: sample 0, parked in get().
+        auto doomed =
+            server
+                .connect(gated, std::make_shared<pipeline::StackCollate>(),
+                         {.batch_size = 1, .prefetch_batches = 1})
+                .take();
+        doomed->startEpoch();
+        gated->waitEntered();
+    }
+    // Nothing was queued behind the parked task, so nothing is
+    // dropped yet, and the roster still holds the doomed state.
+    ServerStats stats = server.stats();
+    EXPECT_EQ(stats.dropped_tasks, 0u);
+    EXPECT_EQ(stats.live_clients, 1);
+    EXPECT_EQ(stats.clients.size(), 2u);
+
+    // The survivor's epoch runs on the free worker, bit-identically.
+    EXPECT_EQ(clientEpochBytes(*survivor), expected);
+
+    // Released, the task finishes into a canceled build: its result is
+    // dropped, counted, and the drained state leaves the roster.
+    gated->release();
+    stats = awaitStats(server, [](const ServerStats &s) {
+        return s.clients.size() == 1 && s.dropped_tasks == 1;
+    });
+    EXPECT_EQ(stats.dropped_tasks, 1u);
+    ASSERT_EQ(stats.clients.size(), 1u);
+    EXPECT_EQ(stats.clients[0].id, survivor->id());
 }
 
 } // namespace

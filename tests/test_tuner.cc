@@ -488,6 +488,38 @@ TEST_F(TunerTest, ReconfigureRebuildsWorkersAndReadAhead)
     EXPECT_FALSE(epochBytes(loader).empty());
 }
 
+TEST_F(TunerTest, ReconfigureFromWorkStealingToRoundRobinKeepsBatches)
+{
+    // A work-stealing epoch leaves its engine generation behind; the
+    // round-robin epoch after it must still receive every batch.
+    auto dataset = makeDataset(makeEncodedStore(24));
+    DataLoaderOptions options;
+    options.batch_size = 4;
+    options.shuffle = true;
+    options.seed = 11;
+    options.num_workers = 2;
+    options.prefetch_factor = 2;
+    options.schedule = Schedule::kRoundRobin;
+    DataLoader reference(dataset, std::make_shared<pipeline::StackCollate>(),
+                         options);
+
+    options.schedule = Schedule::kWorkStealing;
+    DataLoader subject(dataset, std::make_shared<pipeline::StackCollate>(),
+                       options);
+    LoaderReconfig round_robin = subject.currentConfig();
+    round_robin.schedule = Schedule::kRoundRobin;
+    LoaderReconfig stealing = round_robin;
+    stealing.schedule = Schedule::kWorkStealing;
+
+    EXPECT_EQ(epochBytes(subject), epochBytes(reference));
+    subject.reconfigure(round_robin);
+    EXPECT_EQ(epochBytes(subject), epochBytes(reference));
+    subject.reconfigure(stealing);
+    EXPECT_EQ(epochBytes(subject), epochBytes(reference));
+    subject.reconfigure(round_robin);
+    EXPECT_EQ(epochBytes(subject), epochBytes(reference));
+}
+
 TEST_F(TunerTest, ReconfigurePreservesBitIdentityAcrossPolicies)
 {
     // The satellite contract: a loader that starts badly configured

@@ -10,9 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "common/clock.h"
@@ -79,6 +82,35 @@ class ProbeDataset : public pipeline::Dataset
   private:
     std::int64_t size_;
     std::function<TimeNs(std::int64_t)> cost_fn_;
+};
+
+/**
+ * ProbeDataset whose fetches wait until two distinct threads have
+ * fetched: the first task cannot finish before a second worker runs
+ * one too, so at least one task runs away from the worker that
+ * decomposed its batch — a steal — whatever the scheduler does.
+ */
+class RendezvousDataset : public ProbeDataset
+{
+  public:
+    using ProbeDataset::ProbeDataset;
+
+    Sample
+    get(std::int64_t index, PipelineContext &ctx) const override
+    {
+        {
+            std::unique_lock lock(mutex_);
+            threads_.insert(std::this_thread::get_id());
+            cv_.notify_all();
+            cv_.wait(lock, [this] { return threads_.size() >= 2; });
+        }
+        return ProbeDataset::get(index, ctx);
+    }
+
+  private:
+    mutable std::mutex mutex_;
+    mutable std::condition_variable cv_;
+    mutable std::set<std::thread::id> threads_;
 };
 
 DataLoaderOptions
@@ -195,10 +227,11 @@ TEST(WorkStealing, StealTelemetryCountsTasksAndSteals)
     auto &registry = metrics::MetricsRegistry::instance();
     registry.reset();
 
-    // One worker decomposes a whole 16-sample batch onto its own
-    // deque; with per-sample costs the three idle peers must steal.
+    // A whole 16-sample batch lands on the one task queue; the
+    // rendezvous makes a second worker take one of its tasks while the
+    // first task is still running, so the peers must steal.
     trace::TraceLogger logger;
-    auto dataset = std::make_shared<ProbeDataset>(
+    auto dataset = std::make_shared<RendezvousDataset>(
         64, [](std::int64_t) -> TimeNs { return 200 * kMicrosecond; });
     DataLoader loader(dataset,
                       std::make_shared<pipeline::StackCollate>(),

@@ -5,10 +5,12 @@
 # exactly what CI runs, in the same order:
 #
 #   1. tier-1: default build (build/) + full ctest suite
-#   2. TSan:   tools/run_tsan.sh        (build-tsan/, concurrency suites)
-#   3. ASan:   tools/run_sanitizers.sh  (build-asan/, +UBSan, memory suites)
+#   2. stress: the concurrency suites repeated until-fail:20 at -j8 on
+#              the tier-1 build, so a timing-dependent test shows up
+#   3. TSan:   tools/run_tsan.sh        (build-tsan/, concurrency suites)
+#   4. ASan:   tools/run_sanitizers.sh  (build-asan/, +UBSan, memory suites)
 #
-#   tools/run_all_checks.sh              # all three tiers
+#   tools/run_all_checks.sh              # all four tiers
 #   BUILD_DIR=out tools/run_all_checks.sh  # relocate the tier-1 build only
 #
 # Each tier runs even if an earlier one failed (so one pass reports
@@ -41,7 +43,14 @@ tier1() {
         ctest --test-dir "${BUILD_DIR}" --output-on-failure
 }
 
+stress() {
+    ctest --test-dir "${BUILD_DIR}" --output-on-failure \
+        --repeat until-fail:20 -j8 \
+        -R 'test_work_stealing|test_service|test_read_ahead|test_dataflow'
+}
+
 run_tier "tier-1 (build + ctest)" tier1
+run_tier "stress (until-fail:20)" stress
 run_tier "TSan" env BUILD_DIR="${REPO_ROOT}/build-tsan" \
     "${REPO_ROOT}/tools/run_tsan.sh"
 run_tier "ASan/UBSan" env BUILD_DIR="${REPO_ROOT}/build-asan" \

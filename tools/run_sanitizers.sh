@@ -25,9 +25,13 @@ BUILD_DIR="${BUILD_DIR:-${REPO_ROOT}/build-asan}"
 # test_tuner exercises reconfigure(): worker teardown/respawn and the
 # build-then-swap read-ahead engine replacement between epochs.
 # test_service covers the multi-tenant service's build lifecycle:
-# canceled-epoch draining, disconnect reaping, and the reorder
-# buffer's message move-outs.
-ASAN_TESTS='test_cache|test_fault_injection|test_image_codec|test_dataflow|test_pipeline|test_hwcount|test_trace|test_remote_store|test_read_ahead|test_tuner|test_service$'
+# canceled-epoch draining, disconnect reaping, client state outliving
+# its LoaderClient mid-task, and the reorder buffer's message
+# move-outs. test_work_stealing runs the same task engine privately
+# (per-epoch fleet teardown with builds in flight), and
+# test_task_engine sorts the victim order while workers charge
+# service time.
+ASAN_TESTS='test_cache|test_fault_injection|test_image_codec|test_dataflow|test_pipeline|test_hwcount|test_trace|test_remote_store|test_read_ahead|test_tuner|test_service$|test_work_stealing|test_task_engine'
 
 cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" \
     -DLOTUS_SANITIZE=address \
@@ -36,7 +40,7 @@ cmake --build "${BUILD_DIR}" -j "$(nproc)" \
     --target test_cache test_fault_injection test_image_codec \
              test_dataflow test_pipeline test_hwcount test_trace \
              test_remote_store test_read_ahead test_tuner \
-             test_service
+             test_service test_work_stealing test_task_engine
 
 ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \
