@@ -2,7 +2,6 @@
 
 #include <limits>
 
-#include "common/strings.h"
 #include "common/thread_util.h"
 #include "dataflow/sampler.h"
 #include "dataflow/task_runner.h"
@@ -194,8 +193,8 @@ DataLoader::currentConfig() const
 void
 DataLoader::reconfigure(const LoaderReconfig &next)
 {
-    // Workers, queues, and the read-ahead plan are all per-epoch
-    // state; swapping them under a live epoch would orphan in-flight
+    // The worker fleet and the read-ahead plan are per-epoch state;
+    // swapping them under a live epoch would orphan in-flight
     // batches. Epoch boundaries only (DESIGN.md §14). A connected
     // loader's fleet is the server's, and may still be draining this
     // client's canceled tasks through the shared Fetcher.
@@ -218,21 +217,15 @@ DataLoader::reconfigure(const LoaderReconfig &next)
     candidate.io_threads = next.io_threads;
     validateOptions(candidate);
     shutdownWorkers();
-    const bool workers_changed =
-        candidate.num_workers != options_.num_workers;
     options_ = candidate;
-    if (workers_changed)
-        registerMetrics();
+    if (options_.num_workers > 0)
+        spare_ = tensor::Tensor(); // only a synchronous fetch reuses it
     rebuildReadAhead();
 }
 
 void
 DataLoader::registerMetrics()
 {
-    // Re-entrant: reconfigure() re-runs this when the worker count
-    // changes, so the per-worker vectors must rebuild, not append.
-    metrics_.fetch_ns.clear();
-    metrics_.index_queue_depth.clear();
     auto &registry = metrics::MetricsRegistry::instance();
     metrics_.batches_total = registry.counter("lotus_loader_batches_total");
     metrics_.ooo_batches_total =
@@ -243,29 +236,16 @@ DataLoader::registerMetrics()
         registry.gauge("lotus_loader_data_queue_depth");
     metrics_.pin_cache_size =
         registry.gauge("lotus_loader_pin_cache_size");
-    // Engine telemetry (the engine records it) and the measured PMU
-    // totals register in every mode — they just stay untouched under
-    // round-robin or the simulated PMU backend — so dashboards can
-    // diff schedules without conditional queries.
+    // Engine telemetry (the engine records it, and registers its
+    // per-worker series) and the measured PMU totals register in every
+    // mode — they just stay untouched under round-robin, the
+    // synchronous loader or the simulated PMU backend — so dashboards
+    // can diff schedules without conditional queries.
     registry.counter(kTasksMetric);
     registry.histogram("lotus_loader_batch_span_ns");
     registry.counter(kPmuCyclesMetric);
     registry.counter(kPmuInstructionsMetric);
     registry.counter(kPmuLlcMissesMetric);
-    if (options_.num_workers == 0) {
-        metrics_.fetch_ns.push_back(registry.histogram(
-            metrics::labeled("lotus_loader_fetch_ns", "worker", "main")));
-        return;
-    }
-    for (int w = 0; w < options_.num_workers; ++w) {
-        const std::string id = strFormat("%d", w);
-        metrics_.fetch_ns.push_back(registry.histogram(
-            metrics::labeled("lotus_loader_fetch_ns", "worker", id)));
-        metrics_.index_queue_depth.push_back(registry.gauge(
-            metrics::labeled("lotus_loader_index_queue_depth", "worker",
-                             id)));
-        registry.counter(metrics::labeled(kStealsMetric, "worker", id));
-    }
 }
 
 void
@@ -321,14 +301,18 @@ DataLoader::startEpoch()
     }
 
     if (options_.num_workers == 0) {
-        // Synchronous mode: no queues or workers; fetches reseed per
-        // sample from epoch_seed_base_, so this object only provides
-        // the storage the context points at.
+        // Synchronous mode: no engine; fetches reseed per sample from
+        // epoch_seed_base_, so this object only provides the storage
+        // the context points at.
         sync_rng_ = Rng(epoch_seed_base_);
         // The main thread does the fetching, so it carries the
         // counter group (no-op unless PMU attribution is enabled).
         hwcount::ThreadCounterRegistry::instance().attachCurrentThread();
-    } else if (usesEngine()) {
+        metrics_.sync_fetch_ns =
+            metrics::MetricsRegistry::instance().histogram(
+                metrics::labeled("lotus_loader_fetch_ns", "worker", "main"));
+        worker_pids_.clear();
+    } else {
         if (!bound_) {
             // A private engine sized so admission is never tighter
             // than the window: at most prefetch_factor x num_workers
@@ -344,45 +328,19 @@ DataLoader::startEpoch()
             client_ = engine_->connect(clientSpec(1.0)).take();
         }
         generation_ = engine_->beginEpoch(*client_);
-        std::lock_guard lock(worker_pids_mutex_);
         worker_pids_ = engine_->workerPids();
-    } else {
-        index_queues_.clear();
-        for (int w = 0; w < options_.num_workers; ++w)
-            index_queues_.push_back(std::make_unique<MpmcQueue<IndexMsg>>());
-        data_queue_ = std::make_unique<MpmcQueue<BatchMsg>>();
-        {
-            std::lock_guard lock(worker_pids_mutex_);
-            worker_pids_.assign(
-                static_cast<std::size_t>(options_.num_workers), 0);
-        }
-        for (int w = 0; w < options_.num_workers; ++w)
-            workers_.emplace_back([this, w] { workerLoop(w); });
-
-        // Wait for every worker to announce its pid so trace records
-        // and workerPids() are complete from the first batch on.
-        std::unique_lock lock(worker_pids_mutex_);
-        worker_ready_cv_.wait(lock, [this] {
-            for (const auto pid : worker_pids_) {
-                if (pid == 0)
-                    return false;
-            }
-            return true;
-        });
     }
 
-    // Prime prefetch_factor batches per worker, round-robin across
-    // workers (paper §II-B); an engine takes the same window as
-    // submissions. Rounds are capped at numBatches(): beyond that
-    // every sendNext is a no-op, and an uncapped loop with a huge
-    // (valid) prefetch_factor would spin here for prefetch_factor x
-    // num_workers iterations.
-    const std::int64_t rounds = std::min<std::int64_t>(
-        options_.prefetch_factor, numBatches());
-    for (std::int64_t round = 0; round < rounds; ++round) {
-        for (int w = 0; w < options_.num_workers; ++w)
-            sendNext(w);
-    }
+    // Prime prefetch_factor batches per worker (paper §II-B); under
+    // round-robin, sendNext places batch b on worker b mod
+    // num_workers, so priming goes round-robin from worker 0. Capped
+    // at numBatches(): beyond that every sendNext is a no-op.
+    const std::int64_t window = std::min<std::int64_t>(
+        static_cast<std::int64_t>(options_.prefetch_factor) *
+            options_.num_workers,
+        numBatches());
+    for (std::int64_t i = 0; i < window; ++i)
+        sendNext();
     if (options_.logger) {
         trace::TraceRecord marker;
         marker.kind = trace::RecordKind::EpochBoundary;
@@ -395,91 +353,23 @@ DataLoader::startEpoch()
 }
 
 void
-DataLoader::sendNext(int worker_id)
+DataLoader::sendNext()
 {
-    if (send_idx_ >= numBatches())
+    if (options_.num_workers == 0 || send_idx_ >= numBatches())
         return;
-    std::vector<std::int64_t> indices =
-        batches_[static_cast<std::size_t>(send_idx_)];
-    if (usesEngine()) {
-        Submission submission;
-        submission.batch_id = send_idx_;
-        submission.indices = std::move(indices);
-        submission.seed_base = epoch_seed_base_;
-        submission.generation = generation_;
-        engine_->submit(*client_, std::move(submission));
-    } else {
-        const auto w = static_cast<std::size_t>(worker_id);
-        index_queues_[w]->push(IndexMsg{send_idx_, std::move(indices)});
-        metrics_.index_queue_depth[w]->add(1);
-    }
+    Submission submission;
+    submission.batch_id = send_idx_;
+    submission.indices = batches_[static_cast<std::size_t>(send_idx_)];
+    submission.seed_base = epoch_seed_base_;
+    submission.generation = generation_;
+    // Paper §II-B: the batch refilled after consuming batch b is
+    // b + prefetch_factor x num_workers, which lands on b's worker.
+    // A connected loader's batches are always stealable.
+    if (!bound_ && options_.schedule == Schedule::kRoundRobin)
+        submission.home_worker =
+            static_cast<int>(send_idx_ % options_.num_workers);
+    engine_->submit(*client_, std::move(submission));
     ++send_idx_;
-}
-
-void
-DataLoader::workerLoop(int worker_id)
-{
-    setCurrentThreadName(strFormat("loader-%d", worker_id));
-    const std::uint32_t pid = currentTid();
-    {
-        std::lock_guard lock(worker_pids_mutex_);
-        worker_pids_[static_cast<std::size_t>(worker_id)] = pid;
-    }
-    worker_ready_cv_.notify_one();
-    // Per-worker counter group (no-op unless the ThreadCounterRegistry
-    // is enabled and resolved to the perf backend).
-    hwcount::ThreadCounterRegistry::instance().attachCurrentThread();
-    // epoch_seed_base_ is stable while workers run: startEpoch joins
-    // every worker before recomputing it. The rng object is just the
-    // storage ctx points at — every sample attempt reseeds it.
-    Rng rng(epoch_seed_base_);
-    const ErrorHandling errors{options_.error_policy, options_.max_retries,
-                               options_.max_refill_attempts};
-
-    auto &index_queue = *index_queues_[static_cast<std::size_t>(worker_id)];
-    auto *fetch_hist =
-        metrics_.fetch_ns[static_cast<std::size_t>(worker_id)];
-    for (;;) {
-        auto msg = index_queue.pop();
-        if (!msg.has_value())
-            break; // queue closed: epoch over
-        metrics_
-            .index_queue_depth[static_cast<std::size_t>(worker_id)]
-            ->sub(1);
-
-        pipeline::PipelineContext ctx;
-        ctx.logger = options_.logger;
-        ctx.pid = pid;
-        ctx.rng = &rng;
-
-        // [T1]: the fetch() call inside the worker loop.
-        trace::SpanTimer span(options_.logger,
-                              trace::RecordKind::BatchPreprocessed);
-        span.record().batch_id = msg->batch_id;
-        span.record().pid = pid;
-        BatchMsg out;
-        out.batch_id = msg->batch_id;
-        out.worker_id = worker_id;
-        {
-            metrics::ScopedTimer fetch_timer(fetch_hist);
-            PmuSpanGuard pmu_span;
-            Result<Batch> batch =
-                fetcher_->tryFetch(msg->batch_id, msg->indices, ctx, errors,
-                                   epoch_seed_base_);
-            // A failed batch still flows through the data queue (not a
-            // silent worker death): the consumer re-raises it in batch
-            // order as a LoaderError.
-            if (batch.ok())
-                out.batch = batch.take();
-            else
-                out.error = batch.takeError();
-        }
-        span.finish();
-
-        data_queue_->push(std::move(out));
-        metrics_.data_queue_depth->add(1);
-    }
-    hwcount::ThreadCounterRegistry::instance().detachCurrentThread();
 }
 
 void
@@ -494,13 +384,9 @@ DataLoader::pinBatch(Batch &batch) const
     scope.stats().items += 1;
 }
 
-std::optional<Batch>
-DataLoader::nextSynchronous()
+BatchMsg
+DataLoader::fetchInline(std::int64_t wanted)
 {
-    if (rcvd_idx_ >= numBatches())
-        return std::nullopt;
-    const std::int64_t wanted = rcvd_idx_;
-
     pipeline::PipelineContext ctx;
     ctx.logger = options_.logger;
     ctx.pid = main_pid_;
@@ -511,9 +397,10 @@ DataLoader::nextSynchronous()
                           trace::RecordKind::BatchPreprocessed);
     span.record().batch_id = wanted;
     span.record().pid = main_pid_;
-    Batch result;
+    BatchMsg msg;
+    msg.batch_id = wanted; // worker id -1 marks the main process
     {
-        metrics::ScopedTimer fetch_timer(metrics_.fetch_ns[0]);
+        metrics::ScopedTimer fetch_timer(metrics_.sync_fetch_ns);
         PmuSpanGuard pmu_span;
         const ErrorHandling errors{options_.error_policy,
                                    options_.max_retries,
@@ -523,33 +410,87 @@ DataLoader::nextSynchronous()
             epoch_seed_base_, std::move(spare_));
         spare_ = tensor::Tensor();
         if (!fetched.ok()) {
-            // Synchronous re-raise: worker id -1 marks the main
-            // process. The epoch is over; startEpoch() restarts.
-            epoch_started_ = false;
-            throw LoaderError(fetched.takeError(), wanted, -1);
+            msg.error = fetched.takeError();
+            return msg;
         }
-        result = fetched.take();
+        msg.batch = fetched.take();
     }
     span.finish();
-    pinBatch(result);
+    pinBatch(msg.batch);
+    return msg;
+}
 
-    trace::SpanTimer consumed_span(options_.logger,
-                                   trace::RecordKind::BatchConsumed);
-    consumed_span.record().batch_id = wanted;
-    consumed_span.record().pid = main_pid_;
-    consumed_span.finish();
-
-    metrics_.batches_total->add(1);
-    ++rcvd_idx_;
-    return result;
+BatchMsg
+DataLoader::receive(std::int64_t wanted)
+{
+    // [T2]: wait for the desired batch.
+    trace::SpanTimer wait_span(options_.logger, trace::RecordKind::BatchWait);
+    wait_span.record().batch_id = wanted;
+    wait_span.record().pid = main_pid_;
+    if (auto cached = reorder_cache_.find(wanted);
+        cached != reorder_cache_.end()) {
+        // An early out-of-order arrival, already pinned: its wait gets
+        // the 1 µs sentinel duration.
+        BatchMsg msg = std::move(cached->second);
+        reorder_cache_.erase(cached);
+        metrics_.pin_cache_size->sub(1);
+        if (options_.logger != nullptr && !msg.error.has_value()) {
+            trace::TraceRecord sentinel = wait_span.record();
+            sentinel.duration = trace::kOutOfOrderSentinel;
+            options_.logger->log(std::move(sentinel));
+        }
+        return msg;
+    }
+    MpmcQueue<BatchMsg> &queue = client_->outbound;
+    const bool measured = metrics::enabled();
+    const TimeNs wait_start = measured ? SteadyClock::instance().now() : 0;
+    BatchMsg msg;
+    for (;;) {
+        auto received = queue.pop();
+        LOTUS_ASSERT(received.has_value(),
+                     "outbound queue closed with batches outstanding");
+        metrics_.data_queue_depth->sub(1);
+        if (client_->queue_depth_metric != nullptr)
+            client_->queue_depth_metric->set(
+                static_cast<std::int64_t>(queue.size()));
+        if (received->generation != generation_)
+            continue; // canceled incarnation residue
+        if (received->batch_id == wanted) {
+            msg = std::move(*received);
+            break;
+        }
+        // Early arrival: pin to CPU memory and cache it (paper
+        // §III-B). Failed batches are cached too so the error
+        // surfaces in batch order, not arrival order.
+        pinBatch(received->batch);
+        reorder_cache_.emplace(received->batch_id, std::move(*received));
+        metrics_.ooo_batches_total->add(1);
+        metrics_.pin_cache_size->add(1);
+    }
+    if (msg.error.has_value())
+        return msg;
+    if (measured) {
+        const TimeNs waited = SteadyClock::instance().now() - wait_start;
+        const auto waited_u =
+            static_cast<std::uint64_t>(waited > 0 ? waited : 0);
+        metrics_.wait_ns->record(waited_u);
+        metrics_.wait_ns_total->add(waited_u);
+        if (client_->wait_ns_metric != nullptr)
+            client_->wait_ns_metric->record(waited_u);
+    }
+    wait_span.finish();
+    pinBatch(msg.batch);
+    return msg;
 }
 
 void
 DataLoader::recycle(Batch &&batch)
 {
-    // Keep at most one spare; dropping extras still returns their
-    // pages to the buffer pool.
-    spare_ = std::move(batch.data);
+    // Only the synchronous fetch collates into a spare; with workers
+    // the tensor drops here and its pages return to the buffer pool.
+    tensor::Tensor data = std::move(batch.data);
+    if (options_.num_workers == 0)
+        spare_ = std::move(data);
     batch.labels.clear();
 }
 
@@ -558,79 +499,21 @@ DataLoader::next()
 {
     if (!epoch_started_)
         startEpoch();
-    if (options_.num_workers == 0)
-        return nextSynchronous();
     if (rcvd_idx_ >= numBatches()) {
         shutdownWorkers();
         return std::nullopt;
     }
 
     const std::int64_t wanted = rcvd_idx_;
-    BatchMsg msg;
-
-    // [T2]: wait for the desired batch. Early out-of-order arrivals
-    // already pinned and cached get the 1 µs sentinel duration.
-    trace::SpanTimer wait_span(options_.logger, trace::RecordKind::BatchWait);
-    wait_span.record().batch_id = wanted;
-    wait_span.record().pid = main_pid_;
-
-    if (auto cached = reorder_cache_.find(wanted);
-        cached != reorder_cache_.end()) {
-        msg = std::move(cached->second);
-        reorder_cache_.erase(cached);
-        metrics_.pin_cache_size->sub(1);
-        if (msg.error.has_value())
-            raiseWorkerError(std::move(msg));
-        if (options_.logger) {
-            trace::TraceRecord sentinel = wait_span.record();
-            sentinel.duration = trace::kOutOfOrderSentinel;
-            options_.logger->log(std::move(sentinel));
-        }
-    } else {
-        // Only engine queues outlive an epoch incarnation; a round-robin
-        // data queue is rebuilt per epoch and its messages carry no
-        // generation.
-        const bool engine = usesEngine();
-        MpmcQueue<BatchMsg> &queue = engine ? client_->outbound : *data_queue_;
-        const bool measured = metrics::enabled();
-        const TimeNs wait_start =
-            measured ? SteadyClock::instance().now() : 0;
-        for (;;) {
-            auto received = queue.pop();
-            LOTUS_ASSERT(received.has_value(),
-                         "data queue closed with batches outstanding");
-            metrics_.data_queue_depth->sub(1);
-            if (client_ != nullptr && client_->queue_depth_metric != nullptr)
-                client_->queue_depth_metric->set(
-                    static_cast<std::int64_t>(queue.size()));
-            if (engine && received->generation != generation_)
-                continue; // canceled incarnation residue
-            if (received->batch_id == wanted) {
-                msg = std::move(*received);
-                break;
-            }
-            // Early arrival: pin to CPU memory and cache it (paper
-            // §III-B). Failed batches are cached too so the error
-            // surfaces in batch order, not arrival order.
-            pinBatch(received->batch);
-            reorder_cache_.emplace(received->batch_id, std::move(*received));
-            metrics_.ooo_batches_total->add(1);
-            metrics_.pin_cache_size->add(1);
-        }
-        if (msg.error.has_value())
-            raiseWorkerError(std::move(msg));
-        if (measured) {
-            const TimeNs waited =
-                SteadyClock::instance().now() - wait_start;
-            const auto waited_u =
-                static_cast<std::uint64_t>(waited > 0 ? waited : 0);
-            metrics_.wait_ns->record(waited_u);
-            metrics_.wait_ns_total->add(waited_u);
-            if (client_ != nullptr && client_->wait_ns_metric != nullptr)
-                client_->wait_ns_metric->record(waited_u);
-        }
-        wait_span.finish();
-        pinBatch(msg.batch);
+    BatchMsg msg = options_.num_workers > 0 ? receive(wanted)
+                                            : fetchInline(wanted);
+    if (msg.error.has_value()) {
+        // The epoch cannot continue past a failed batch: release the
+        // workers (queued batches drain as canceled) and re-raise with
+        // the batch and worker identity. startEpoch() restarts.
+        shutdownWorkers();
+        epoch_started_ = false;
+        throw LoaderError(std::move(*msg.error), msg.batch_id, msg.worker_id);
     }
 
     // Consumption span: bookkeeping + dispatch of new work for the
@@ -640,7 +523,7 @@ DataLoader::next()
                                    trace::RecordKind::BatchConsumed);
     consumed_span.record().batch_id = wanted;
     consumed_span.record().pid = main_pid_;
-    sendNext(msg.worker_id);
+    sendNext();
     consumed_span.finish();
 
     metrics_.batches_total->add(1);
@@ -650,25 +533,6 @@ DataLoader::next()
         shutdownWorkers();
     }
     return std::move(msg.batch);
-}
-
-void
-DataLoader::raiseWorkerError(BatchMsg msg)
-{
-    LOTUS_ASSERT(msg.error.has_value());
-    // The epoch cannot continue past a failed batch: release the
-    // workers (queued batches are dropped with the queues at the next
-    // startEpoch) and re-raise with the batch and worker identity.
-    shutdownWorkers();
-    epoch_started_ = false;
-    throw LoaderError(std::move(*msg.error), msg.batch_id, msg.worker_id);
-}
-
-std::vector<std::uint32_t>
-DataLoader::workerPids() const
-{
-    std::lock_guard lock(worker_pids_mutex_);
-    return worker_pids_;
 }
 
 void
@@ -688,13 +552,6 @@ DataLoader::shutdownWorkers()
         client_.reset();
         engine_.reset();
     }
-    for (auto &queue : index_queues_)
-        queue->close();
-    for (auto &worker : workers_) {
-        if (worker.joinable())
-            worker.join();
-    }
-    workers_.clear();
 }
 
 } // namespace lotus::dataflow

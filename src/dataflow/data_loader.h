@@ -1,17 +1,19 @@
 /**
  * @file
  * The asynchronous DataLoader (PyTorch torch.utils.data.DataLoader
- * analogue), faithfully reproducing the protocol of paper §II-B:
+ * analogue), faithfully reproducing the protocol of paper §II-B on
+ * the task engine's fleet (dataflow/task_engine.h):
  *
- *  - the main process forks num_workers workers;
- *  - one index queue per worker (main -> worker) carries batch index
- *    lists, one shared data queue (workers -> main) carries
- *    preprocessed batches;
- *  - at epoch start the main process primes every worker's index
- *    queue with prefetch_factor batches, round-robin;
+ *  - the main process starts num_workers workers;
+ *  - one pinned FIFO per worker (main -> worker) carries batch index
+ *    lists — the paper's index queues — and one shared outbound queue
+ *    (workers -> main) carries preprocessed batches;
+ *  - at epoch start the main process primes every worker's FIFO with
+ *    prefetch_factor batches, round-robin from worker 0;
  *  - after consuming a batch it sends one new batch of indices to the
- *    worker that produced the consumed batch;
- *  - batches can arrive out of order on the shared data queue; the
+ *    worker that produced the consumed batch (batch b always belongs
+ *    to worker b mod num_workers, so this is a fixed placement);
+ *  - batches can arrive out of order on the shared outbound queue; the
  *    main process consumes strictly in order, pinning and caching
  *    early arrivals.
  *
@@ -24,14 +26,11 @@
 #ifndef LOTUS_DATAFLOW_DATA_LOADER_H
 #define LOTUS_DATAFLOW_DATA_LOADER_H
 
-#include <condition_variable>
 #include <map>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <vector>
 
-#include "common/mpmc_queue.h"
 #include "common/rng.h"
 #include "dataflow/error_policy.h"
 #include "dataflow/fetcher.h"
@@ -44,11 +43,12 @@ namespace lotus::dataflow {
 /**
  * How batches are divided among workers.
  *
- * kRoundRobin is the paper-faithful §II-B protocol (static
- * whole-batch assignment, one index queue per worker) and the default
- * — characterization runs must keep it to reproduce the paper's [T2]
- * behavior. kWorkStealing runs the epoch on a private task engine
- * (dataflow/task_engine.h): every batch decomposes into per-sample
+ * Both run the epoch on a private task engine (dataflow/task_engine.h);
+ * the schedule is the placement of each submitted batch. kRoundRobin
+ * is the paper-faithful §II-B protocol (static whole-batch assignment:
+ * batch b runs whole on worker b mod num_workers) and the default —
+ * characterization runs must keep it to reproduce the paper's [T2]
+ * behavior. kWorkStealing decomposes every batch into per-sample
  * tasks on one shared task queue, so an idle fleet collaborates on a
  * straggler's batch instead of waiting behind it (DESIGN.md §10).
  * Batch contents are bit-identical across both modes and
@@ -89,7 +89,7 @@ struct DataLoaderOptions
     /**
      * Preprocessing workers. 0 runs the loader synchronously: every
      * fetch happens in the calling thread inside next(), like
-     * PyTorch's num_workers=0 (no queues, no [T2] wait records).
+     * PyTorch's num_workers=0 (no engine, no [T2] wait records).
      */
     int num_workers = 1;
     /** Batches primed per worker at epoch start. */
@@ -202,15 +202,15 @@ class DataLoader
     std::int64_t numBatches() const;
 
     /**
-     * Begin an epoch: spawn workers and prime index queues. Called
-     * implicitly by the first next(); explicit restart supports
-     * multi-epoch use.
+     * Begin an epoch: start the worker fleet and prime it with
+     * prefetch_factor x num_workers batches. Called implicitly by the
+     * first next(); explicit restart supports multi-epoch use.
      */
     void startEpoch();
 
     /**
      * Next in-order batch, or nullopt at epoch end (workers are then
-     * joined). Blocks on the shared data queue as needed.
+     * joined). Blocks on the shared outbound queue as needed.
      *
      * Under ErrorPolicy::kFail (and exhausted kRetry/kSkip), a worker
      * that hit a bad sample surfaces here as a thrown LoaderError
@@ -225,8 +225,8 @@ class DataLoader
      * mode (num_workers == 0) the next fetch collates directly into
      * the recycled tensor when shapes match, making steady-state
      * epochs allocation-free on the batch path. With workers the
-     * tensor is simply released here and its pages recycle through
-     * the worker-local buffer pools instead.
+     * tensor is simply released here and its pages return to the
+     * buffer pool instead.
      */
     void recycle(pipeline::Batch &&batch);
 
@@ -237,14 +237,14 @@ class DataLoader
 
     /**
      * Apply a tuner decision at an epoch boundary. Fatal mid-epoch
-     * (between a startEpoch and the nullopt from next()): workers,
-     * queues, and the read-ahead plan are per-epoch state, so the
+     * (between a startEpoch and the nullopt from next()): the worker
+     * fleet and the read-ahead plan are per-epoch state, so the
      * loader refuses to mutate them while an epoch is in flight — the
      * reconfiguration safety contract (DESIGN.md §14). Revalidates
-     * like the constructor, re-registers per-worker metrics, and
-     * rebuilds or tears down the read-ahead engine as the depth
-     * moves through 0. Batch contents are unaffected: every field of
-     * LoaderReconfig is content-neutral by the reseeding contract.
+     * like the constructor, and rebuilds or tears down the read-ahead
+     * engine as the depth moves through 0. Batch contents are
+     * unaffected: every field of LoaderReconfig is content-neutral by
+     * the reseeding contract.
      * Fatal on a connect()ed loader: its fleet belongs to the server.
      */
     void reconfigure(const LoaderReconfig &next);
@@ -270,39 +270,28 @@ class DataLoader
     /** Main-process id used in trace records. */
     std::uint32_t mainPid() const { return main_pid_; }
 
-    /** Worker process ids (valid after startEpoch). */
-    std::vector<std::uint32_t> workerPids() const;
+    /** Worker process ids of the latest started epoch (empty when
+     *  synchronous); still valid after that epoch ends. */
+    std::vector<std::uint32_t> workerPids() const { return worker_pids_; }
 
   private:
-    struct IndexMsg
-    {
-        std::int64_t batch_id = -1;
-        std::vector<std::int64_t> indices;
-    };
-
-    /** Round-robin worker body: fetch whole batches from its own
-     *  index queue onto the shared data queue. */
-    void workerLoop(int worker_id);
-    /** True when batches run on a TaskEngine (private or shared). */
-    bool usesEngine() const
-    {
-        return bound_ || (options_.schedule == Schedule::kWorkStealing &&
-                          options_.num_workers > 0);
-    }
-    /** Send batch send_idx_ to round-robin worker @p worker_id's index
-     *  queue, or submit it to the engine; no-op past the plan. */
-    void sendNext(int worker_id);
+    /** Submit batch send_idx_ to the engine — pinned to worker
+     *  send_idx_ mod num_workers under round-robin; no-op past the
+     *  plan or without workers. */
+    void sendNext();
+    /** [T2]: batch @p wanted, pinned, from the reorder cache or the
+     *  outbound queue (pinning and caching early arrivals). */
+    BatchMsg receive(std::int64_t wanted);
+    /** [T1] inline on the main process (num_workers == 0), pinned. */
+    BatchMsg fetchInline(std::int64_t wanted);
     ClientSpec clientSpec(double weight) const;
     void pinBatch(pipeline::Batch &batch) const;
-    /** Shut the epoch down and re-raise a worker's sample error. */
-    [[noreturn]] void raiseWorkerError(BatchMsg msg);
     void shutdownWorkers();
     void rebuildBatches();
     void registerMetrics();
     /** (Re)build or tear down the read-ahead engine to match
      *  options_; no-op when the live engine already matches. */
     void rebuildReadAhead();
-    std::optional<pipeline::Batch> nextSynchronous();
 
     /** Always-on telemetry handles (process-wide registry; recording
      *  is a no-op unless metrics::setEnabled(true) was called). */
@@ -314,10 +303,9 @@ class DataLoader
         metrics::Histogram *wait_ns = nullptr;
         metrics::Gauge *data_queue_depth = nullptr;
         metrics::Gauge *pin_cache_size = nullptr;
-        /** Indexed by worker id (one "main" entry when num_workers=0);
-         *  engine epochs record fetches in the engine's series. */
-        std::vector<metrics::Histogram *> fetch_ns;
-        std::vector<metrics::Gauge *> index_queue_depth;
+        /** The {worker="main"} fetch series of synchronous epochs; the
+         *  engine records its workers' fetches itself. */
+        metrics::Histogram *sync_fetch_ns = nullptr;
     };
 
     std::shared_ptr<const pipeline::Dataset> dataset_;
@@ -338,17 +326,10 @@ class DataLoader
     bool epoch_started_ = false;
     /** Epoch counter driving the per-epoch reshuffle. */
     std::int64_t epoch_ = 0;
-    // Round-robin state (empty on engine epochs).
-    std::vector<std::unique_ptr<MpmcQueue<IndexMsg>>> index_queues_;
-    std::unique_ptr<MpmcQueue<BatchMsg>> data_queue_;
-    std::vector<std::thread> workers_;
     std::vector<std::uint32_t> worker_pids_;
-    mutable std::mutex worker_pids_mutex_;
-    /** Signaled by each worker once it has announced its pid. */
-    std::condition_variable worker_ready_cv_;
 
-    // Engine state: a private engine lives for one epoch; a shared
-    // one (bound_) for the loader's lifetime.
+    // Engine state (null when synchronous): a private engine lives for
+    // one epoch; a shared one (bound_) for the loader's lifetime.
     std::shared_ptr<TaskEngine> engine_;
     std::shared_ptr<ClientState> client_;
     /** Set by connect(): engine_ belongs to a PreprocServer. */
@@ -367,7 +348,8 @@ class DataLoader
 
     /** Fetch rng for the synchronous (num_workers=0) path. */
     Rng sync_rng_{0};
-    /** Recycled batch tensor donated to the next synchronous fetch. */
+    /** Recycled batch tensor donated to the next synchronous fetch
+     *  (always empty with workers). */
     tensor::Tensor spare_;
     Metrics metrics_;
 };

@@ -19,20 +19,6 @@ Fetcher::Fetcher(std::shared_ptr<const pipeline::Dataset> dataset,
     LOTUS_ASSERT(dataset_ != nullptr && collate_ != nullptr);
 }
 
-pipeline::Batch
-Fetcher::fetch(std::int64_t batch_id,
-               const std::vector<std::int64_t> &indices,
-               pipeline::PipelineContext &ctx, tensor::Tensor reuse) const
-{
-    Result<pipeline::Batch> batch =
-        tryFetch(batch_id, indices, ctx, ErrorHandling{ErrorPolicy::kFail},
-                 /*seed_base=*/0, std::move(reuse));
-    if (!batch.ok())
-        LOTUS_FATAL("batch %lld: %s", static_cast<long long>(batch_id),
-                    batch.error().describe().c_str());
-    return batch.take();
-}
-
 void
 noteSampleError(const Error &error, std::int64_t sample_index,
                 pipeline::PipelineContext &ctx, ErrorPolicy policy)

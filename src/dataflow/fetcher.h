@@ -64,19 +64,9 @@ class Fetcher
      * tensor's storage to the collation (see Collate::collateInto);
      * pass a default-constructed tensor to allocate fresh.
      *
-     * Fatal on bad sample data — the wrapper for trusted fixtures;
-     * loader paths go through tryFetch. Samples reseed from epoch
-     * base 0.
-     */
-    pipeline::Batch fetch(std::int64_t batch_id,
-                          const std::vector<std::int64_t> &indices,
-                          pipeline::PipelineContext &ctx,
-                          tensor::Tensor reuse = {}) const;
-
-    /**
-     * Like fetch(), but recoverable sample errors are resolved by
-     * @p errors through resolveTask (dataflow/task_runner.h), slot by
-     * slot in order: kSkip refills the bad slot from spare indices
+     * Recoverable sample errors are resolved by @p errors through
+     * resolveTask (dataflow/task_runner.h), slot by slot in order:
+     * kSkip refills the bad slot from spare indices
      * ((index + attempt) % dataset size — deterministic, may
      * duplicate a sample within the epoch, keeps the batch full),
      * kRetry re-reads the same index while the error is transient,
@@ -128,7 +118,7 @@ class Fetcher
      * Attach a decoded-sample cache. Only engages when the dataset
      * opts in via cacheableSplit(); a non-cacheable dataset keeps the
      * plain tryGet path (warned once at attach time). Every fetch path
-     * — round-robin workers, engine tasks, and the synchronous loader
+     * — pinned whole batches, engine tasks, and the synchronous loader
      * — funnels single-sample reads through getSample(), so attaching
      * here covers all three.
      */

@@ -14,12 +14,34 @@ namespace {
  *  prompt. */
 constexpr TimeNs kIdleWait = 200 * kMicrosecond;
 
+/** True when work of @p generation has no consumer any more. */
 bool
-canceled(const ClientState &client, const BatchBuild &build)
+canceled(const ClientState &client, std::uint64_t generation)
 {
     return client.disconnected.load(std::memory_order_acquire) ||
-           build.generation !=
-               client.generation.load(std::memory_order_acquire);
+           generation != client.generation.load(std::memory_order_acquire);
+}
+
+/** Run @p fetch under a PMU span, recording its wall time in the
+ *  worker's @p fetch_ns and charging it to @p client's service time. */
+template <typename Fetch>
+auto
+chargedFetch(ClientState &client, metrics::Histogram *fetch_ns, Fetch &&fetch)
+{
+    const TimeNs start = SteadyClock::instance().now();
+    auto result = [&] {
+        PmuSpanGuard pmu_span;
+        return fetch();
+    }();
+    const TimeNs elapsed = SteadyClock::instance().now() - start;
+    const auto ns = static_cast<std::uint64_t>(elapsed > 0 ? elapsed : 0);
+    if (metrics::enabled())
+        fetch_ns->record(ns);
+    // Weighted-fair accounting charges measured service time, not
+    // task count: a straggler-heavy tenant's vtime advances faster,
+    // which is exactly what shields the light tenant's [T2] tail.
+    client.service_ns.fetch_add(ns, std::memory_order_relaxed);
+    return result;
 }
 
 } // namespace
@@ -36,6 +58,8 @@ TaskEngine::TaskEngine(EngineLimits limits) : limits_(limits)
             metrics::labeled("lotus_loader_fetch_ns", "worker", id)));
         steals_.push_back(registry.counter(
             metrics::labeled(kStealsMetric, "worker", id)));
+        index_queue_depth_.push_back(registry.gauge(
+            metrics::labeled("lotus_loader_index_queue_depth", "worker", id)));
     }
     tasks_total_ = registry.counter(kTasksMetric);
     batch_span_ns_ = registry.histogram("lotus_loader_batch_span_ns");
@@ -94,7 +118,8 @@ TaskEngine::connect(ClientSpec spec)
     }
     const std::int64_t id = next_client_id_++;
     const double weight = spec.weight;
-    auto state = std::make_shared<ClientState>(id, std::move(spec));
+    auto state =
+        std::make_shared<ClientState>(id, std::move(spec), limits_.num_workers);
     if (min_vtime > 0.0)
         state->service_ns.store(static_cast<std::uint64_t>(min_vtime * weight),
                                 std::memory_order_relaxed);
@@ -153,7 +178,17 @@ TaskEngine::stats() const
 void
 TaskEngine::submit(ClientState &client, Submission submission)
 {
-    client.pending.push(std::move(submission));
+    if (submission.home_worker < 0) {
+        client.pending.push(std::move(submission));
+    } else {
+        LOTUS_ASSERT(submission.home_worker < limits_.num_workers,
+                     "home worker %d outside a fleet of %d",
+                     submission.home_worker, limits_.num_workers);
+        const auto w = static_cast<std::size_t>(submission.home_worker);
+        // Count before the push, so a pop can never take it below 0.
+        index_queue_depth_[w]->add(1);
+        client.pinned[w].push(std::move(submission));
+    }
     signal_.notifyWork();
 }
 
@@ -172,6 +207,12 @@ TaskEngine::drainPending(ClientState &client)
     // accounting is complete whether or not decomposition got to it.
     while (auto submission = client.pending.tryPop())
         countDropped(client, submission->indices.size());
+    for (std::size_t w = 0; w < client.pinned.size(); ++w) {
+        while (auto submission = client.pinned[w].tryPop()) {
+            index_queue_depth_[w]->sub(1);
+            countDropped(client, submission->indices.size());
+        }
+    }
 }
 
 std::uint64_t
@@ -259,7 +300,9 @@ TaskEngine::reapDisconnected()
                    0 &&
                client->inflight_builds.load(std::memory_order_acquire) ==
                    0 &&
-               client->pending.empty();
+               client->pending.empty() &&
+               std::all_of(client->pinned.begin(), client->pinned.end(),
+                           [](const auto &fifo) { return fifo.empty(); });
     });
 }
 
@@ -352,6 +395,49 @@ TaskEngine::decompose(ClientState &client, Submission submission,
 }
 
 bool
+TaskEngine::runPinned(const std::vector<std::shared_ptr<ClientState>> &order,
+                      int worker_id, pipeline::PipelineContext &ctx)
+{
+    const auto w = static_cast<std::size_t>(worker_id);
+    for (const auto &client : order) {
+        if (auto submission = client->pinned[w].tryPop()) {
+            index_queue_depth_[w]->sub(1);
+            fetchWhole(*client, *submission, worker_id, ctx);
+            return true;
+        }
+    }
+    return false;
+}
+
+void
+TaskEngine::fetchWhole(ClientState &client, const Submission &submission,
+                       int worker_id, pipeline::PipelineContext &ctx)
+{
+    if (!canceled(client, submission.generation)) {
+        ctx.logger = client.spec.logger;
+        // [T1]: the fetch() call inside the paper's worker loop.
+        trace::SpanTimer span(ctx.logger,
+                              trace::RecordKind::BatchPreprocessed);
+        span.record().batch_id = submission.batch_id;
+        span.record().pid = ctx.pid;
+        Result<pipeline::Batch> batch = chargedFetch(
+            client, fetch_ns_[static_cast<std::size_t>(worker_id)], [&] {
+                return client.spec.fetcher->tryFetch(
+                    submission.batch_id, submission.indices, ctx,
+                    client.spec.errors, submission.seed_base);
+            });
+        span.finish();
+        // Canceled while it ran: the batch has no consumer.
+        if (!canceled(client, submission.generation)) {
+            ship(client, submission.batch_id, submission.generation,
+                 worker_id, std::move(batch));
+            return;
+        }
+    }
+    countDropped(client, submission.indices.size());
+}
+
+bool
 TaskEngine::runOneTask(const std::vector<std::shared_ptr<ClientState>> &order,
                        int worker_id, pipeline::PipelineContext &ctx)
 {
@@ -382,7 +468,7 @@ TaskEngine::executeTask(ClientState &client, SampleTask *task,
     BatchBuild &build = *task->build;
     // Canceled incarnation (epoch abort / disconnect): drain as a
     // no-op.
-    if (canceled(client, build)) {
+    if (canceled(client, build.generation)) {
         dropTask(client, build, worker_id, ctx);
         return;
     }
@@ -408,28 +494,17 @@ TaskEngine::executeTask(ClientState &client, SampleTask *task,
     span.record().batch_id = build.batch_id;
     span.record().pid = ctx.pid;
     span.record().sample_index = task->index;
-    const TimeNs fetch_start = SteadyClock::instance().now();
-    Result<pipeline::Sample> sample = [&] {
-        PmuSpanGuard pmu_span;
-        return client.spec.fetcher->attempt(*task, ctx);
-    }();
-    const TimeNs elapsed = SteadyClock::instance().now() - fetch_start;
-    const auto fetch_ns = static_cast<std::uint64_t>(elapsed > 0 ? elapsed : 0);
+    Result<pipeline::Sample> sample = chargedFetch(
+        client, fetch_ns_[static_cast<std::size_t>(worker_id)],
+        [&] { return client.spec.fetcher->attempt(*task, ctx); });
     span.finish();
     ctx.sample_index = -1;
-
-    if (metrics::enabled())
-        fetch_ns_[static_cast<std::size_t>(worker_id)]->record(fetch_ns);
-    // Weighted-fair accounting charges measured service time, not
-    // task count: a straggler-heavy tenant's vtime advances faster,
-    // which is exactly what shields the light tenant's [T2] tail.
-    client.service_ns.fetch_add(fetch_ns, std::memory_order_relaxed);
     client.executed_tasks.fetch_add(1, std::memory_order_relaxed);
     if (client.tasks_metric != nullptr)
         client.tasks_metric->add(1);
 
     // Canceled while it ran: the result has no consumer.
-    if (canceled(client, build)) {
+    if (canceled(client, build.generation)) {
         dropTask(client, build, worker_id, ctx);
         return;
     }
@@ -448,22 +523,39 @@ TaskEngine::executeTask(ClientState &client, SampleTask *task,
 }
 
 void
+TaskEngine::ship(ClientState &client, std::int64_t batch_id,
+                 std::uint64_t generation, int worker_id,
+                 Result<pipeline::Batch> batch)
+{
+    BatchMsg msg;
+    msg.batch_id = batch_id;
+    msg.generation = generation;
+    msg.worker_id = worker_id;
+    // A failed batch still ships (not a silent worker death): the
+    // consumer re-raises it in batch order as a LoaderError.
+    if (batch.ok())
+        msg.batch = batch.take();
+    else
+        msg.error = batch.takeError();
+    client.outbound.push(std::move(msg));
+    data_queue_depth_->add(1);
+    client.shipped_batches.fetch_add(1, std::memory_order_relaxed);
+    if (client.batches_metric != nullptr) {
+        client.batches_metric->add(1);
+        client.queue_depth_metric->set(
+            static_cast<std::int64_t>(client.outbound.size()));
+    }
+}
+
+void
 TaskEngine::finishBatch(ClientState &client, BatchBuild &build,
                         int worker_id, pipeline::PipelineContext &ctx)
 {
     const auto n = static_cast<std::int64_t>(build.indices.size());
-    if (!canceled(client, build)) {
-        BatchMsg msg;
-        msg.batch_id = build.batch_id;
-        msg.generation = build.generation;
-        msg.worker_id = worker_id;
+    if (!canceled(client, build.generation)) {
         ctx.logger = client.spec.logger;
         Result<pipeline::Batch> batch =
             client.spec.fetcher->finishBuild(build, ctx);
-        if (batch.ok())
-            msg.batch = batch.take();
-        else
-            msg.error = batch.takeError();
         // [T1] for the whole build: decompose -> last slot + collate,
         // in the finisher's lane. The span can overlap other batches'
         // task spans in the same lane — that is the point of the
@@ -482,14 +574,8 @@ TaskEngine::finishBatch(ClientState &client, BatchBuild &build,
             batch_span_ns_->record(
                 static_cast<std::uint64_t>(span > 0 ? span : 0));
         }
-        client.outbound.push(std::move(msg));
-        data_queue_depth_->add(1);
-        client.shipped_batches.fetch_add(1, std::memory_order_relaxed);
-        if (client.batches_metric != nullptr) {
-            client.batches_metric->add(1);
-            client.queue_depth_metric->set(
-                static_cast<std::int64_t>(client.outbound.size()));
-        }
+        ship(client, build.batch_id, build.generation, worker_id,
+             std::move(batch));
     }
 
     client.inflight_builds.fetch_sub(1, std::memory_order_acq_rel);
@@ -540,7 +626,10 @@ TaskEngine::workerLoop(int worker_id)
         {
             // Scoped so an idle worker holds no client state.
             const auto order = victimOrder();
-            worked = runOneTask(order, worker_id, ctx) ||
+            // A worker's own pinned FIFO comes first: nobody else
+            // can run it.
+            worked = runPinned(order, worker_id, ctx) ||
+                     runOneTask(order, worker_id, ctx) ||
                      tryDecompose(order, worker_id);
         }
         if (worked)

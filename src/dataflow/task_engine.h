@@ -1,17 +1,19 @@
 /**
  * @file
- * The per-sample task engine: one worker fleet that runs the
- * decompose → per-sample task → last-finisher-collates protocol for
- * one or more clients (DESIGN.md §10).
+ * The task engine: the one worker fleet behind every DataLoader with
+ * workers (DESIGN.md §10), running the decompose → per-sample task →
+ * last-finisher-collates protocol for one or more clients.
  *
- * A standalone DataLoader under Schedule::kWorkStealing runs a private
- * single-client engine per epoch; a PreprocServer (src/service/) runs
- * one shared engine for all of its LoaderClients (the tf.data shape:
- * the same runtime in-process and disaggregated, PAPERS.md
- * arXiv:2101.12127). Either way each client submits whole batches,
- * fleet workers decompose them into per-sample tasks on the client's
- * task queue, and the last worker to resolve a slot collates the batch
- * onto the client's outbound queue.
+ * A standalone DataLoader runs a private single-client engine per
+ * epoch; a PreprocServer (src/service/) runs one shared engine for
+ * all of its LoaderClients (the tf.data shape: the same runtime
+ * in-process and disaggregated, PAPERS.md arXiv:2101.12127). Either
+ * way each client submits whole batches. A stealable submission is
+ * decomposed by fleet workers into per-sample tasks on the client's
+ * task queue, and the last worker to resolve a slot collates the
+ * batch onto the client's outbound queue. A pinned submission (the
+ * round-robin schedule) waits in its home worker's FIFO — the paper's
+ * §II-B index queue — and runs whole there through Fetcher::tryFetch.
  *
  * Victim selection is weighted-fair: clients are ordered by virtual
  * time (executed fetch nanoseconds / weight), so a heavy-tailed tenant
@@ -19,7 +21,8 @@
  * Admission control bounds the client count, per-client in-flight
  * samples, and per-client in-flight builds plus unconsumed outbound
  * batches, all at decompose time, so a slow consumer never blocks a
- * fleet worker.
+ * fleet worker. Pinned submissions skip admission: the submitter's
+ * window already bounds them.
  *
  * Ownership rule: a fleet worker can still touch a client's state
  * after the host DataLoader is gone (it holds a shared_ptr to the
@@ -81,13 +84,11 @@ inline constexpr const char *kServiceRejectedMetric =
     "lotus_service_rejected_total";
 
 /**
- * One completed batch (or its failure) on its way to the consumer —
- * from a round-robin worker or from the engine. On engine messages
- * `generation` stamps the submitting epoch incarnation; the consumer
- * drops messages from a canceled generation, so a batch that raced an
- * epoch abort can never be mistaken for the new epoch's batch of the
- * same id. Round-robin messages leave it 0: their data queue lives for
- * one epoch, so it never holds residue.
+ * One completed batch (or its failure) on its way from the engine to
+ * the consumer. `generation` stamps the submitting epoch incarnation;
+ * the consumer drops messages from a canceled generation, so a batch
+ * that raced an epoch abort can never be mistaken for the new epoch's
+ * batch of the same id.
  */
 struct BatchMsg
 {
@@ -110,6 +111,10 @@ struct Submission
     std::uint64_t seed_base = 0;
     /** Epoch incarnation; stale generations drain as no-ops. */
     std::uint64_t generation = 0;
+    /** -1: decompose into stealable per-sample tasks. >= 0 (and below
+     *  the fleet size): run the batch whole on this worker, in FIFO
+     *  order behind its earlier pinned submissions. */
+    int home_worker = -1;
 };
 
 /** Fleet size and admission limits of one engine. */
@@ -130,7 +135,7 @@ struct EngineLimits
     int outbound_capacity = 1;
     /** A PreprocServer's engine: exports the lotus_service_*
      *  families and names its workers preproc-N (a private engine's
-     *  are loader-N, like round-robin workers). */
+     *  are loader-N). */
     bool shared = false;
 };
 
@@ -151,13 +156,16 @@ struct ClientSpec
 /**
  * Engine-side per-client state. Tasks live in one FIFO that every
  * fleet worker pops (oldest batch first) and that decompose and
- * retry/skip requeue push onto.
+ * retry/skip requeue push onto. Pinned submissions live in one FIFO
+ * per fleet worker, which only that worker pops.
  */
 struct ClientState
 {
-    ClientState(std::int64_t client_id, ClientSpec spec_in)
+    ClientState(std::int64_t client_id, ClientSpec spec_in,
+                int num_workers)
         : id(client_id), spec(std::move(spec_in)),
-          dataset_size(spec.fetcher->dataset().size())
+          dataset_size(spec.fetcher->dataset().size()),
+          pinned(static_cast<std::size_t>(num_workers))
     {
     }
 
@@ -170,6 +178,8 @@ struct ClientState
      *  so concurrent workers cannot both admit past the limits. */
     std::mutex decompose_mutex;
     MpmcQueue<Submission> pending;
+    /** Pinned submissions, indexed by home worker. */
+    std::vector<MpmcQueue<Submission>> pinned;
     /** Completed batches, in completion order. Unbounded: the
      *  admission rule, not the queue, bounds it, so a push never
      *  blocks a fleet worker. */
@@ -258,7 +268,9 @@ class TaskEngine
      */
     Result<std::shared_ptr<ClientState>> connect(ClientSpec spec);
 
-    /** Queue one batch for decomposition. */
+    /** Queue one batch: for decomposition, or on its home worker's
+     *  FIFO when pinned. Pinned submissions bypass admission — the
+     *  submitter's window bounds them. */
     void submit(ClientState &client, Submission submission);
 
     /** Cancel the client's outstanding work and open the next epoch
@@ -289,6 +301,14 @@ class TaskEngine
 
   private:
     void workerLoop(int worker_id);
+    /** Run the oldest pinned submission on @p worker_id's FIFO of the
+     *  first client in @p order that has one; true when one ran. */
+    bool runPinned(const std::vector<std::shared_ptr<ClientState>> &order,
+                   int worker_id, pipeline::PipelineContext &ctx);
+    /** Fetch one pinned submission whole ([T1] span in the worker's
+     *  lane) and ship it, unless its incarnation was canceled. */
+    void fetchWhole(ClientState &client, const Submission &submission,
+                    int worker_id, pipeline::PipelineContext &ctx);
     /** Pop one task from the first client in @p order with work;
      *  true when a task ran. */
     bool runOneTask(const std::vector<std::shared_ptr<ClientState>> &order,
@@ -302,6 +322,11 @@ class TaskEngine
                    int worker_id);
     void executeTask(ClientState &client, SampleTask *task, int worker_id,
                      pipeline::PipelineContext &ctx);
+    /** Push a finished batch's outcome onto the client's outbound
+     *  queue. */
+    void ship(ClientState &client, std::int64_t batch_id,
+              std::uint64_t generation, int worker_id,
+              Result<pipeline::Batch> batch);
     /** Last-finisher path: ship the batch outcome, or drop a canceled
      *  build; frees the build and the in-flight budget either way. */
     void finishBatch(ClientState &client, BatchBuild &build, int worker_id,
@@ -310,7 +335,8 @@ class TaskEngine
     void dropTask(ClientState &client, BatchBuild &build, int worker_id,
                   pipeline::PipelineContext &ctx);
     void countDropped(ClientState &client, std::uint64_t samples);
-    /** Discard undecomposed submissions, counting them as dropped. */
+    /** Discard undecomposed and pinned submissions, counting them as
+     *  dropped. */
     void drainPending(ClientState &client);
     /** Drop fully-drained disconnected clients from the roster. */
     void reapDisconnected();
@@ -336,6 +362,8 @@ class TaskEngine
     /** Fleet telemetry, indexed by worker where per-worker. */
     std::vector<metrics::Histogram *> fetch_ns_;
     std::vector<metrics::Counter *> steals_;
+    /** Pinned submissions queued per home worker (all clients). */
+    std::vector<metrics::Gauge *> index_queue_depth_;
     metrics::Counter *tasks_total_ = nullptr;
     metrics::Histogram *batch_span_ns_ = nullptr;
     metrics::Gauge *data_queue_depth_ = nullptr;

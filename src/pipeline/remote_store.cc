@@ -183,6 +183,8 @@ RemoteStore::serveRange(
 
     modelDelay(options_.rtt + transfer);
     releaseConnection();
+    modelled_delay_ns_.fetch_add(options_.rtt + transfer,
+                                 std::memory_order_relaxed);
 
     round_trips_.fetch_add(1, std::memory_order_relaxed);
     bytes_transferred_.fetch_add(static_cast<std::uint64_t>(span_bytes),
@@ -210,6 +212,8 @@ void
 RemoteStore::acquireConnection() const
 {
     std::unique_lock<std::mutex> lock(slots_mutex_);
+    if (inflight_ >= options_.max_inflight)
+        connection_waits_.fetch_add(1, std::memory_order_relaxed);
     slot_free_cv_.wait(lock,
                        [this] { return inflight_ < options_.max_inflight; });
     ++inflight_;

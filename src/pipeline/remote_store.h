@@ -118,6 +118,21 @@ class RemoteStore : public BlobStore
         return bytes_transferred_.load(std::memory_order_relaxed);
     }
 
+    /** Sum of the modelled RTT + transfer delays of served requests
+     *  (deadline misses excluded): the latency the model charged,
+     *  independent of how late the sleeping thread woke. */
+    TimeNs modelledDelayNs() const
+    {
+        return modelled_delay_ns_.load(std::memory_order_relaxed);
+    }
+
+    /** Connection acquisitions that found every slot busy and had to
+     *  queue. */
+    std::uint64_t connectionWaits() const
+    {
+        return connection_waits_.load(std::memory_order_relaxed);
+    }
+
   private:
     /** One requested blob inside a coalesced range: inner index plus
      *  the slot of @p out it fills (requests may repeat an index, so
@@ -155,6 +170,8 @@ class RemoteStore : public BlobStore
     mutable std::atomic<std::uint64_t> coalesced_reads_{0};
     mutable std::atomic<std::uint64_t> timeouts_{0};
     mutable std::atomic<std::uint64_t> bytes_transferred_{0};
+    mutable std::atomic<TimeNs> modelled_delay_ns_{0};
+    mutable std::atomic<std::uint64_t> connection_waits_{0};
 };
 
 } // namespace lotus::pipeline

@@ -19,7 +19,7 @@ using des::SimQueue;
 using trace::RecordKind;
 using trace::TraceRecord;
 
-struct IndexMsg
+struct IndexRequest
 {
     std::int64_t batch_id;
 };
@@ -49,7 +49,7 @@ struct Sim
                 std::make_unique<SimQueue<DataMsg>>(engine));
         for (int w = 0; w < config.num_workers; ++w) {
             index_queues.push_back(
-                std::make_unique<SimQueue<IndexMsg>>(engine));
+                std::make_unique<SimQueue<IndexRequest>>(engine));
             worker_rngs.emplace_back(config.seed * 0x9E3779B97F4A7C15ull +
                                      static_cast<std::uint64_t>(w) + 1);
         }
@@ -89,7 +89,7 @@ struct Sim
         // Index queues are unbounded: delivery is immediate, no
         // suspension, so a plain non-awaited push is safe here.
         auto awaiter = index_queues[static_cast<std::size_t>(worker_id)]
-                           ->push(IndexMsg{send_idx});
+                           ->push(IndexRequest{send_idx});
         const bool ready = awaiter.await_ready();
         LOTUS_ASSERT(ready, "unbounded index queue refused a push");
         ++send_idx;
@@ -101,7 +101,7 @@ struct Sim
     std::vector<std::unique_ptr<SimQueue<DataMsg>>> data_queues;
     SimQueue<std::int64_t> gpu_queue;
     hwcount::SimulatedPmu pmu;
-    std::vector<std::unique_ptr<SimQueue<IndexMsg>>> index_queues;
+    std::vector<std::unique_ptr<SimQueue<IndexRequest>>> index_queues;
     std::vector<Rng> worker_rngs;
     Rng main_rng;
 

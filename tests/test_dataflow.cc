@@ -18,6 +18,7 @@
 #include "dataflow/sampler.h"
 #include "image/codec/codec.h"
 #include "image/synth.h"
+#include "memory/buffer_pool.h"
 #include "metrics/metrics.h"
 #include "pipeline/compose.h"
 #include "pipeline/image_folder.h"
@@ -120,7 +121,11 @@ TEST(Fetcher, ProducesCollatedBatchWithCollateRecord)
     ctx.logger = &logger;
     ctx.pid = 3;
     ctx.rng = &rng;
-    const Batch batch = fetcher.fetch(7, {2, 4, 6}, ctx);
+    Result<Batch> fetched =
+        fetcher.tryFetch(7, {2, 4, 6}, ctx, ErrorHandling{ErrorPolicy::kFail},
+                         /*seed_base=*/0);
+    ASSERT_TRUE(fetched.ok());
+    const Batch batch = fetched.take();
     EXPECT_EQ(batch.batch_id, 7);
     EXPECT_EQ(batch.size(), 3);
     EXPECT_FLOAT_EQ(batch.data.data<float>()[1], 4.0f);
@@ -477,6 +482,130 @@ TEST(DataLoader, OutOfOrderArrivalsGetSentinelWaits)
             ++sentinels;
     }
     EXPECT_GT(sentinels, 0);
+}
+
+/** ToyDataset whose sample @p bad fails with a store error. */
+class FailingToyDataset : public ToyDataset
+{
+  public:
+    FailingToyDataset(std::int64_t size, std::int64_t bad)
+        : ToyDataset(size), bad_(bad)
+    {
+    }
+
+    Result<Sample>
+    tryGet(std::int64_t index, PipelineContext &ctx) const override
+    {
+        if (index == bad_)
+            return LOTUS_ERROR(ErrorCode::kIoError, "sample %lld is bad",
+                               static_cast<long long>(index));
+        return get(index, ctx);
+    }
+
+  private:
+    std::int64_t bad_;
+};
+
+TEST(DataLoader, RoundRobinPlacesBatchOnWorkerBatchIdModN)
+{
+    // Paper §II-B: priming is round-robin from worker 0 and the refill
+    // after consuming batch b goes to b's producer, so batch b always
+    // runs whole on worker b mod N — never decomposed, never stolen.
+    constexpr int kWorkers = 3;
+    metrics::ScopedEnable enable;
+    auto &registry = metrics::MetricsRegistry::instance();
+    registry.reset();
+    trace::TraceLogger logger;
+    auto dataset = std::make_shared<ToyDataset>(
+        48, [](std::int64_t index) -> TimeNs {
+            return index % 5 == 0 ? 2 * kMillisecond : 50 * kMicrosecond;
+        });
+    auto collate = std::make_shared<pipeline::StackCollate>();
+    auto options = baseOptions(2, kWorkers, &logger);
+    options.shuffle = true;
+    options.schedule = Schedule::kRoundRobin;
+    DataLoader loader(dataset, collate, options);
+    for (int epoch = 0; epoch < 2; ++epoch) {
+        const std::size_t first_record = logger.recordCount();
+        loader.startEpoch();
+        const auto pids = loader.workerPids();
+        ASSERT_EQ(pids.size(), static_cast<std::size_t>(kWorkers));
+        std::int64_t batches = 0;
+        while (loader.next().has_value())
+            ++batches;
+        EXPECT_EQ(batches, loader.numBatches());
+
+        const auto records = logger.records();
+        int preprocessed = 0;
+        for (std::size_t i = first_record; i < records.size(); ++i) {
+            const auto &record = records[i];
+            EXPECT_NE(record.kind, trace::RecordKind::TaskSpan);
+            EXPECT_NE(record.kind, trace::RecordKind::StealEvent);
+            if (record.kind != trace::RecordKind::BatchPreprocessed)
+                continue;
+            ++preprocessed;
+            EXPECT_EQ(record.pid,
+                      pids[static_cast<std::size_t>(record.batch_id %
+                                                    kWorkers)])
+                << "epoch " << epoch << " batch " << record.batch_id;
+        }
+        EXPECT_EQ(preprocessed, loader.numBatches());
+    }
+    EXPECT_EQ(registry.counter(kTasksMetric)->value(), 0u);
+    for (int w = 0; w < kWorkers; ++w) {
+        const std::string id = std::to_string(w);
+        EXPECT_EQ(
+            registry.counter(metrics::labeled(kStealsMetric, "worker", id))
+                ->value(),
+            0u);
+        EXPECT_EQ(registry
+                      .gauge(metrics::labeled(
+                          "lotus_loader_index_queue_depth", "worker", id))
+                      ->value(),
+                  0);
+    }
+    registry.reset();
+
+    // A failing batch surfaces with its home worker's identity.
+    for (const std::int64_t bad_batch : {0, 4, 5, 7}) {
+        auto failing = std::make_shared<FailingToyDataset>(
+            24, /*bad=*/bad_batch * 2 + 1);
+        auto fail_options = baseOptions(2, kWorkers, nullptr);
+        fail_options.schedule = Schedule::kRoundRobin;
+        fail_options.error_policy = ErrorPolicy::kFail;
+        DataLoader failing_loader(failing, collate, fail_options);
+        bool threw = false;
+        try {
+            while (failing_loader.next().has_value()) {
+            }
+        } catch (const LoaderError &e) {
+            threw = true;
+            EXPECT_EQ(e.batchId(), bad_batch);
+            EXPECT_EQ(e.workerId(), bad_batch % kWorkers);
+        }
+        EXPECT_TRUE(threw) << "bad batch " << bad_batch;
+    }
+}
+
+TEST(DataLoader, RecycleWithWorkersReturnsPagesToThePool)
+{
+    // Only a synchronous fetch collates into a recycled tensor; with
+    // workers recycle() must release it, not park it forever.
+    auto dataset = std::make_shared<ToyDataset>(64);
+    auto collate = std::make_shared<pipeline::StackCollate>();
+    DataLoader loader(dataset, collate, baseOptions(16, 2, nullptr));
+    std::optional<Batch> last;
+    while (auto batch = loader.next())
+        last = std::move(batch);
+    ASSERT_TRUE(last.has_value());
+    const std::size_t bytes = last->data.byteSize();
+    ASSERT_GT(bytes, 0u);
+    // The epoch is over and its fleet joined: nothing else releases.
+    auto &pool = memory::BufferPool::instance();
+    pool.trim();
+    const std::uint64_t before = pool.stats().cached_bytes;
+    loader.recycle(std::move(*last));
+    EXPECT_GE(pool.stats().cached_bytes, before + bytes);
 }
 
 TEST(DataLoader, ShuffleReshufflesEachEpoch)

@@ -46,7 +46,7 @@ tier1() {
 stress() {
     ctest --test-dir "${BUILD_DIR}" --output-on-failure \
         --repeat until-fail:20 -j8 \
-        -R 'test_work_stealing|test_service|test_read_ahead|test_dataflow'
+        -R 'test_work_stealing|test_service|test_read_ahead|test_dataflow|test_remote_store|test_metrics'
 }
 
 run_tier "tier-1 (build + ctest)" tier1

@@ -30,8 +30,10 @@ BUILD_DIR="${BUILD_DIR:-${REPO_ROOT}/build-asan}"
 # move-outs. test_work_stealing runs the same task engine privately
 # (per-epoch fleet teardown with builds in flight), and
 # test_task_engine sorts the victim order while workers charge
-# service time.
-ASAN_TESTS='test_cache|test_fault_injection|test_image_codec|test_dataflow|test_pipeline|test_hwcount|test_trace|test_remote_store|test_read_ahead|test_tuner|test_service$|test_work_stealing|test_task_engine'
+# service time. test_integration runs round-robin loaders end to end
+# (pinned submissions on the engine, per-epoch fleet teardown), and
+# test_metrics drives the loader and engine telemetry series.
+ASAN_TESTS='test_cache|test_fault_injection|test_image_codec|test_dataflow|test_pipeline|test_hwcount|test_trace|test_remote_store|test_read_ahead|test_tuner|test_service$|test_work_stealing|test_task_engine|test_integration|test_metrics'
 
 cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" \
     -DLOTUS_SANITIZE=address \
@@ -40,7 +42,8 @@ cmake --build "${BUILD_DIR}" -j "$(nproc)" \
     --target test_cache test_fault_injection test_image_codec \
              test_dataflow test_pipeline test_hwcount test_trace \
              test_remote_store test_read_ahead test_tuner \
-             test_service test_work_stealing test_task_engine
+             test_service test_work_stealing test_task_engine \
+             test_integration test_metrics
 
 ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \

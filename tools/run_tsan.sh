@@ -26,7 +26,9 @@ BUILD_DIR="${BUILD_DIR:-${REPO_ROOT}/build-tsan}"
 # weighted-fair stealing, admission control, and disconnect draining
 # all race client threads against fleet workers. test_task_engine
 # takes the victim order while other threads charge service time.
-TSAN_TESTS='test_metrics|test_dataflow|test_cache|test_work_stealing|test_fault_injection|test_trace|test_pipeline|test_buffer_pool|test_hwcount|test_remote_store|test_read_ahead|test_tuner|test_service$|test_task_engine'
+# test_integration runs 2-worker round-robin loaders end to end, i.e.
+# pinned whole-batch submissions on the task engine.
+TSAN_TESTS='test_metrics|test_dataflow|test_cache|test_work_stealing|test_fault_injection|test_trace|test_pipeline|test_buffer_pool|test_hwcount|test_remote_store|test_read_ahead|test_tuner|test_service$|test_task_engine|test_integration'
 
 cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" \
     -DLOTUS_SANITIZE=thread \
@@ -36,7 +38,7 @@ cmake --build "${BUILD_DIR}" -j "$(nproc)" \
              test_work_stealing test_fault_injection test_trace \
              test_pipeline test_buffer_pool test_hwcount \
              test_remote_store test_read_ahead test_tuner \
-             test_service test_task_engine
+             test_service test_task_engine test_integration
 
 TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     ctest --test-dir "${BUILD_DIR}" --output-on-failure \
