@@ -202,6 +202,8 @@ epochContent(const std::shared_ptr<workloads::HeavyTailCostDataset> &dataset,
 constexpr std::int64_t kCacheSamples = 96;
 constexpr int kCacheBatch = 8;
 constexpr int kCacheWorkers = 4;
+/** Discarded uncached epochs run at least this long before timing. */
+constexpr TimeNs kCacheWarmup = 2 * kSecond;
 
 workloads::ImageNetConfig
 cacheScenario()
@@ -261,7 +263,6 @@ struct CacheResult
     /** Warm epoch vs the uncached per-epoch baseline. */
     double warm_speedup = 0.0;
     double warm_hit_rate = 0.0;
-    std::uint64_t evictions = 0;
     std::uint64_t rejects = 0;
     std::uint64_t disk_spills = 0;
     std::uint64_t disk_hits = 0;
@@ -311,7 +312,6 @@ runCacheConfig(const std::shared_ptr<pipeline::ImageFolderDataset> &dataset,
             warm_lookups > 0 ? static_cast<double>(served) /
                                    static_cast<double>(warm_lookups)
                              : 0.0;
-        result.evictions = stats.evictions;
         result.rejects = stats.rejects;
         result.disk_spills = stats.disk_spills;
         result.disk_hits = stats.disk_hits;
@@ -1027,12 +1027,10 @@ writeJson(const char *path, const std::vector<ConfigResult> &results,
             "      {\"budget\": \"%s\", \"budget_bytes\": %lld, "
             "\"cold_epoch_ms\": %.2f, \"warm_epoch_ms\": %.2f, "
             "\"warm_speedup_vs_uncached\": %.2f, "
-            "\"warm_hit_rate\": %.3f, \"evictions\": %llu, "
-            "\"rejects\": %llu, \"disk_spills\": %llu, "
-            "\"disk_hits\": %llu}%s\n",
+            "\"warm_hit_rate\": %.3f, \"rejects\": %llu, "
+            "\"disk_spills\": %llu, \"disk_hits\": %llu}%s\n",
             r.name.c_str(), static_cast<long long>(r.budget_bytes),
             r.cold_ms, r.warm_ms, r.warm_speedup, r.warm_hit_rate,
-            static_cast<unsigned long long>(r.evictions),
             static_cast<unsigned long long>(r.rejects),
             static_cast<unsigned long long>(r.disk_spills),
             static_cast<unsigned long long>(r.disk_hits),
@@ -1212,10 +1210,21 @@ main(int argc, char **argv)
 
     // Uncached baseline: every epoch repeats the full Loader work, so
     // per-epoch cost is flat; take the min of 3 as the trimmed value.
+    // It is the first decode-heavy loader in the process, and the
+    // first second or so of sustained 4-worker decode runs slower than
+    // steady state (on a 4-vCPU VM: ~300 ms epochs before, ~100 ms
+    // after, so one discarded epoch is not enough). Epochs are
+    // discarded for kCacheWarmup first, so the baseline is measured
+    // as warm as the cached configs that follow it.
     {
         DataLoader loader(image_dataset,
                           std::make_shared<pipeline::StackCollate>(),
                           cacheOptions(dataflow::CachePolicy::kNone, 0));
+        const TimeNs warm_until =
+            SteadyClock::instance().now() + kCacheWarmup;
+        do {
+            epochTimes(loader, 1);
+        } while (SteadyClock::instance().now() < warm_until);
         const auto times = epochTimes(loader, 3);
         cache.uncached_ms =
             *std::min_element(times.begin(), times.end());
@@ -1259,7 +1268,7 @@ main(int argc, char **argv)
     };
     std::printf("%-14s %12s %10s %10s %9s %8s %10s %10s\n", "budget",
                 "budget_mb", "cold_ms", "warm_ms", "speedup", "hit%",
-                "evictions", "disk_hits");
+                "rejects", "disk_hits");
     for (const BudgetCase &c : cases) {
         const CacheResult r = runCacheConfig(
             image_dataset, c.name,
@@ -1271,7 +1280,7 @@ main(int argc, char **argv)
                         (1024.0 * 1024.0),
                     r.cold_ms, r.warm_ms, r.warm_speedup,
                     r.warm_hit_rate * 100.0,
-                    static_cast<unsigned long long>(r.evictions),
+                    static_cast<unsigned long long>(r.rejects),
                     static_cast<unsigned long long>(r.disk_hits));
         cache.results.push_back(r);
     }

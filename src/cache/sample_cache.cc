@@ -47,7 +47,6 @@ SampleCache::SampleCache(const CacheConfig &config)
     hits_metric_ = registry.counter("lotus_cache_hits_total");
     misses_metric_ = registry.counter("lotus_cache_misses_total");
     inserts_metric_ = registry.counter("lotus_cache_inserts_total");
-    evictions_metric_ = registry.counter("lotus_cache_evictions_total");
     rejects_metric_ = registry.counter("lotus_cache_rejects_total");
     disk_hits_metric_ = registry.counter("lotus_cache_disk_hits_total");
     disk_spills_metric_ = registry.counter("lotus_cache_spills_total");
@@ -63,7 +62,7 @@ SampleCache::sampleBytes(const pipeline::Sample &sample)
 }
 
 SampleCache::Shard &
-SampleCache::shardFor(const CacheKey &key)
+SampleCache::shardFor(const CacheKey &key) const
 {
     return *shards_[key.hash() % shards_.size()];
 }
@@ -91,14 +90,12 @@ SampleCache::lookup(const CacheKey &key, pipeline::PipelineContext &ctx)
     Shard &shard = shardFor(key);
     {
         std::lock_guard<std::mutex> lock(shard.mutex);
-        const auto it = shard.index.find(key);
-        if (it != shard.index.end()) {
-            Slot &slot = shard.slots[it->second];
-            slot.referenced = true;
-            // Deep clone under the shard lock: the copy is pooled
-            // (freelist pop + memcpy), and handing out a reference
-            // instead would race with eviction.
-            pipeline::Sample copy = slot.sample;
+        const auto it = shard.entries.find(key);
+        if (it != shard.entries.end()) {
+            // Deep clone: the caller's random suffix mutates the sample
+            // in place, so it must never touch the resident master
+            // copy. The copy is pooled (freelist pop + memcpy).
+            pipeline::Sample copy = it->second;
             raw_.hits.fetch_add(1, std::memory_order_relaxed);
             hits_metric_->add(1);
             logEvent(ctx, "hit", key.sample_index);
@@ -133,80 +130,30 @@ SampleCache::lookup(const CacheKey &key, pipeline::PipelineContext &ctx)
 }
 
 void
-SampleCache::evictOne(Shard &shard, pipeline::PipelineContext &ctx)
-{
-    // CLOCK sweep: clear reference bits until an unreferenced
-    // occupied slot comes under the hand. Terminates because a full
-    // lap clears every bit.
-    for (;;) {
-        if (shard.slots.empty())
-            return;
-        Slot &slot = shard.slots[shard.hand];
-        const std::size_t victim = shard.hand;
-        shard.hand = (shard.hand + 1) % shard.slots.size();
-        if (!slot.occupied)
-            continue;
-        if (slot.referenced) {
-            slot.referenced = false;
-            continue;
-        }
-        shard.index.erase(slot.key);
-        shard.bytes -= static_cast<std::int64_t>(slot.bytes);
-        raw_.bytes.fetch_sub(static_cast<std::int64_t>(slot.bytes),
-                             std::memory_order_relaxed);
-        bytes_metric_->sub(static_cast<std::int64_t>(slot.bytes));
-        slot.sample = pipeline::Sample{};
-        slot.bytes = 0;
-        slot.occupied = false;
-        shard.free_slots.push_back(victim);
-        raw_.evictions.fetch_add(1, std::memory_order_relaxed);
-        evictions_metric_->add(1);
-        logEvent(ctx, "evict", slot.key.sample_index);
-        return;
-    }
-}
-
-void
 SampleCache::insertMemory(const CacheKey &key,
                           const pipeline::Sample &sample,
                           pipeline::PipelineContext &ctx)
 {
-    const std::size_t bytes = sampleBytes(sample);
-    if (static_cast<std::int64_t>(bytes) > shard_budget_) {
-        // Admitting it would flush an entire shard for one entry.
-        raw_.rejects.fetch_add(1, std::memory_order_relaxed);
-        rejects_metric_->add(1);
-        logEvent(ctx, "reject", key.sample_index);
-        return;
-    }
+    const auto bytes = static_cast<std::int64_t>(sampleBytes(sample));
     Shard &shard = shardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (shard.index.find(key) != shard.index.end())
-        return; // Raced with another worker inserting the same key.
-    while (shard.bytes + static_cast<std::int64_t>(bytes) > shard_budget_)
-        evictOne(shard, ctx);
-
-    std::size_t slot_index;
-    if (!shard.free_slots.empty()) {
-        slot_index = shard.free_slots.back();
-        shard.free_slots.pop_back();
-    } else {
-        slot_index = shard.slots.size();
-        shard.slots.emplace_back();
+    {
+        std::lock_guard<std::mutex> lock(shard.mutex);
+        if (shard.entries.count(key) != 0)
+            return; // Raced with another worker inserting the same key.
+        if (shard.bytes + bytes <= shard_budget_) {
+            shard.entries.emplace(key, sample); // Pooled deep copy.
+            shard.bytes += bytes;
+            raw_.bytes.fetch_add(bytes, std::memory_order_relaxed);
+            bytes_metric_->add(bytes);
+            raw_.inserts.fetch_add(1, std::memory_order_relaxed);
+            inserts_metric_->add(1);
+            return;
+        }
     }
-    Slot &slot = shard.slots[slot_index];
-    slot.key = key;
-    slot.sample = sample; // Pooled deep copy.
-    slot.bytes = bytes;
-    slot.referenced = true;
-    slot.occupied = true;
-    shard.index.emplace(key, slot_index);
-    shard.bytes += static_cast<std::int64_t>(bytes);
-    raw_.bytes.fetch_add(static_cast<std::int64_t>(bytes),
-                         std::memory_order_relaxed);
-    bytes_metric_->add(static_cast<std::int64_t>(bytes));
-    raw_.inserts.fetch_add(1, std::memory_order_relaxed);
-    inserts_metric_->add(1);
+    // Fill once: a full shard keeps what it holds.
+    raw_.rejects.fetch_add(1, std::memory_order_relaxed);
+    rejects_metric_->add(1);
+    logEvent(ctx, "reject", key.sample_index);
 }
 
 void
@@ -223,6 +170,18 @@ SampleCache::insert(const CacheKey &key, const pipeline::Sample &sample,
     }
 }
 
+bool
+SampleCache::holds(const CacheKey &key) const
+{
+    {
+        Shard &shard = shardFor(key);
+        std::lock_guard<std::mutex> lock(shard.mutex);
+        if (shard.entries.count(key) != 0)
+            return true;
+    }
+    return disk_ != nullptr && disk_->contains(key.sample_index);
+}
+
 SampleCache::Stats
 SampleCache::stats() const
 {
@@ -230,7 +189,6 @@ SampleCache::stats() const
     out.hits = raw_.hits.load(std::memory_order_relaxed);
     out.misses = raw_.misses.load(std::memory_order_relaxed);
     out.inserts = raw_.inserts.load(std::memory_order_relaxed);
-    out.evictions = raw_.evictions.load(std::memory_order_relaxed);
     out.rejects = raw_.rejects.load(std::memory_order_relaxed);
     out.disk_hits = raw_.disk_hits.load(std::memory_order_relaxed);
     out.disk_spills = raw_.disk_spills.load(std::memory_order_relaxed);

@@ -10,10 +10,17 @@
  *  - keyed on (dataset id, sample index, prefix fingerprint), so a
  *    reconfigured pipeline or a second dataset never serves stale
  *    entries;
+ *  - fill once, never evict: an entry is admitted only while its
+ *    shard has budget left, and stays until the cache is destroyed.
+ *    A map-style epoch looks up every index once in a fresh
+ *    permutation, so recency predicts nothing and an evicting policy
+ *    only churns; keeping the first entries that fit serves a steady
+ *    budget/working-set share of every warm epoch (CoorDL's MinIO
+ *    cache). It also makes residency monotone, so the loader can
+ *    leave resident samples out of an epoch's read-ahead plan;
  *  - sharded: the key hash picks a shard, each shard is an
- *    independently locked CLOCK (second-chance) ring with its own
- *    slice of the byte budget, so multi-worker loaders do not
- *    serialize on one lock;
+ *    independently locked map with its own slice of the byte budget,
+ *    so multi-worker loaders do not serialize on one lock;
  *  - storage is pooled (memory::BufferPool via Image/Tensor copies),
  *    so a warm hit's deep clone costs a freelist pop + memcpy, not a
  *    heap allocation;
@@ -21,8 +28,8 @@
  *    inserts spill to disk, memory misses fall back to an mmap read
  *    before re-decoding, and corrupt spills degrade recoverably.
  *
- * Telemetry: `lotus_cache_{hits,misses,inserts,evictions,rejects,
- * disk_hits,spills,corrupt}_total` counters and the `lotus_cache_bytes`
+ * Telemetry: `lotus_cache_{hits,misses,inserts,rejects,disk_hits,
+ * spills,corrupt}_total` counters and the `lotus_cache_bytes`
  * gauge; always-on raw Stats for tests/benches; per-action CacheEvent
  * trace instants ("cache:hit", "cache:miss", ...) in the worker lane.
  */
@@ -93,8 +100,10 @@ class SampleCache
         std::uint64_t hits = 0;
         std::uint64_t misses = 0;
         std::uint64_t inserts = 0;
+        /** Always 0: nothing is evicted. Kept for readers that report
+         *  evictions per epoch (perfbench's cache.evictions_per_epoch). */
         std::uint64_t evictions = 0;
-        /** Entries larger than a whole shard budget, never admitted. */
+        /** Admissions refused because the entry's shard was full. */
         std::uint64_t rejects = 0;
         std::uint64_t disk_hits = 0;
         std::uint64_t disk_spills = 0;
@@ -118,13 +127,21 @@ class SampleCache
                                            pipeline::PipelineContext &ctx);
 
     /**
-     * Admit a prefix-stage sample, evicting CLOCK victims in its
-     * shard until it fits; write-through spills to disk when
-     * materialization is on. A sample larger than one shard's budget
-     * is rejected (counted) rather than flushing the whole shard.
+     * Admit a prefix-stage sample iff its shard's resident bytes plus
+     * the sample's stay within the shard budget; otherwise count a
+     * reject. Nothing already resident is ever displaced. Write-through
+     * spills to disk when materialization is on, admitted or not.
      */
     void insert(const CacheKey &key, const pipeline::Sample &sample,
                 pipeline::PipelineContext &ctx);
+
+    /**
+     * Would lookup(@p key) be served? True when the key is resident in
+     * memory or has a spill file. Under fill-once a resident key stays
+     * resident, so the answer holds for the rest of the epoch (a spill
+     * file can still fail validation on load).
+     */
+    bool holds(const CacheKey &key) const;
 
     Stats stats() const;
 
@@ -136,30 +153,17 @@ class SampleCache
     static std::size_t sampleBytes(const pipeline::Sample &sample);
 
   private:
-    struct Slot
-    {
-        CacheKey key;
-        pipeline::Sample sample;
-        std::size_t bytes = 0;
-        bool referenced = false;
-        bool occupied = false;
-    };
-
     struct Shard
     {
         std::mutex mutex;
-        std::vector<Slot> slots;
-        std::unordered_map<CacheKey, std::size_t, CacheKeyHash> index;
-        std::vector<std::size_t> free_slots;
-        std::size_t hand = 0;
+        std::unordered_map<CacheKey, pipeline::Sample, CacheKeyHash> entries;
         std::int64_t bytes = 0;
     };
 
-    Shard &shardFor(const CacheKey &key);
+    Shard &shardFor(const CacheKey &key) const;
     /** Insert into the in-memory shard only (no disk write). */
     void insertMemory(const CacheKey &key, const pipeline::Sample &sample,
                       pipeline::PipelineContext &ctx);
-    void evictOne(Shard &shard, pipeline::PipelineContext &ctx);
     void logEvent(pipeline::PipelineContext &ctx, const char *what,
                   std::int64_t sample_index) const;
 
@@ -173,7 +177,6 @@ class SampleCache
         std::atomic<std::uint64_t> hits{0};
         std::atomic<std::uint64_t> misses{0};
         std::atomic<std::uint64_t> inserts{0};
-        std::atomic<std::uint64_t> evictions{0};
         std::atomic<std::uint64_t> rejects{0};
         std::atomic<std::uint64_t> disk_hits{0};
         std::atomic<std::uint64_t> disk_spills{0};
@@ -185,7 +188,6 @@ class SampleCache
     metrics::Counter *hits_metric_;
     metrics::Counter *misses_metric_;
     metrics::Counter *inserts_metric_;
-    metrics::Counter *evictions_metric_;
     metrics::Counter *rejects_metric_;
     metrics::Counter *disk_hits_metric_;
     metrics::Counter *disk_spills_metric_;

@@ -287,9 +287,13 @@ DataLoader::startEpoch()
         // Arm the I/O threads with this epoch's reads in fetch order,
         // each carrying its (batch, sample) trace correlation. This
         // covers every fetch path — the synchronous loader included.
+        // Cached samples never claim their blob, so they stay out of
+        // the plan: every issued read is one a fetch will consume.
         std::vector<pipeline::BlobReadRequest> plan;
         for (std::size_t b = 0; b < batches_.size(); ++b) {
             for (const std::int64_t index : batches_[b]) {
+                if (fetcher_->cached(index))
+                    continue;
                 pipeline::BlobReadRequest request;
                 request.index = index;
                 request.batch_id = static_cast<std::int64_t>(b);

@@ -77,9 +77,10 @@ enum class CachePolicy : std::uint8_t
     /** In-memory only, bounded by cache_budget_bytes. */
     kMemory,
     /** kMemory plus write-through disk materialization: epoch 0
-     *  spills prefix-stage samples under materialize_dir, later
-     *  epochs (and evicted entries) mmap them back instead of
-     *  re-decoding. Corrupt spill files degrade to re-decode. */
+     *  spills prefix-stage samples under materialize_dir, and later
+     *  epochs mmap back the ones the memory budget did not admit
+     *  instead of re-decoding. Corrupt spill files degrade to
+     *  re-decode. */
     kMaterialize,
 };
 

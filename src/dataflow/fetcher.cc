@@ -71,46 +71,52 @@ Fetcher::setReadAhead(std::shared_ptr<ReadAhead> read_ahead)
     read_ahead_ = std::move(read_ahead);
 }
 
+cache::CacheKey
+Fetcher::cacheKey(std::int64_t index) const
+{
+    return cache::CacheKey{split_->dataset_id, split_->prefix_fingerprint,
+                           index};
+}
+
+bool
+Fetcher::cached(std::int64_t index) const
+{
+    return split_.has_value() && cache_->holds(cacheKey(index));
+}
+
 Result<pipeline::Sample>
 Fetcher::getSample(std::int64_t index, pipeline::PipelineContext &ctx) const
 {
     // Every fetch path funnels through here, so this one scope
     // correlates all TracedStore reads with the sample being fetched.
     pipeline::IoTraceScope io_scope(&ctx);
-    if (cache_ == nullptr || !split_.has_value()) {
+    const bool cacheable = split_.has_value();
+    if (cacheable) {
+        if (std::optional<pipeline::Sample> hit =
+                cache_->lookup(cacheKey(index), ctx)) {
+            // Warm path: the deterministic prefix is already done;
+            // only the random suffix runs, replaying the same rng
+            // stream a full fetch would (the prefix draws nothing). No
+            // read-ahead claim — a warm hit must never wait on (or
+            // consume) I/O.
+            dataset_->applySuffix(*hit, ctx);
+            return std::move(*hit);
+        }
+    }
+    Result<pipeline::Sample> read = [&] {
+        std::optional<pipeline::ScopedStagedBlob> staged;
         if (read_ahead_ != nullptr) {
             if (std::optional<Result<std::string>> blob =
-                    read_ahead_->claim(index)) {
-                pipeline::ScopedStagedBlob staged(index, std::move(*blob));
-                return dataset_->tryGet(index, ctx);
-            }
+                    read_ahead_->claim(index))
+                staged.emplace(index, std::move(*blob));
         }
-        return dataset_->tryGet(index, ctx);
-    }
-    const cache::CacheKey key{split_->dataset_id,
-                              split_->prefix_fingerprint, index};
-    if (std::optional<pipeline::Sample> hit = cache_->lookup(key, ctx)) {
-        // Warm path: the deterministic prefix is already done; only
-        // the random suffix runs, replaying the same rng stream a
-        // full fetch would (the prefix draws nothing). No read-ahead
-        // claim — a warm hit must never wait on (or consume) I/O.
-        dataset_->applySuffix(*hit, ctx);
-        return std::move(*hit);
-    }
-    Result<pipeline::Sample> prefix = [&] {
-        if (read_ahead_ != nullptr) {
-            if (std::optional<Result<std::string>> blob =
-                    read_ahead_->claim(index)) {
-                pipeline::ScopedStagedBlob staged(index, std::move(*blob));
-                return dataset_->tryGetPrefix(index, ctx);
-            }
-        }
-        return dataset_->tryGetPrefix(index, ctx);
+        return cacheable ? dataset_->tryGetPrefix(index, ctx)
+                         : dataset_->tryGet(index, ctx);
     }();
-    if (!prefix.ok())
-        return prefix.takeError();
-    pipeline::Sample sample = prefix.take();
-    cache_->insert(key, sample, ctx);
+    if (!cacheable || !read.ok())
+        return read;
+    pipeline::Sample sample = read.take();
+    cache_->insert(cacheKey(index), sample, ctx);
     dataset_->applySuffix(sample, ctx);
     return sample;
 }

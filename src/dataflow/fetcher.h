@@ -131,7 +131,7 @@ class Fetcher
      * synchronously, so the engine is purely opportunistic. With a
      * decoded-sample cache attached, claims happen only on the
      * cache-miss path — a warm hit never consumes (or waits for) a
-     * prefetched blob.
+     * prefetched blob, so the epoch plan leaves cached() indices out.
      */
     void setReadAhead(std::shared_ptr<ReadAhead> read_ahead);
 
@@ -148,7 +148,17 @@ class Fetcher
     Result<pipeline::Sample> getSample(std::int64_t index,
                                        pipeline::PipelineContext &ctx) const;
 
+    /**
+     * Would getSample(@p index) be a cache hit? False without a cache
+     * or for a non-cacheable dataset. The cache never evicts, so a
+     * true answer at epoch start holds for the whole epoch.
+     */
+    bool cached(std::int64_t index) const;
+
   private:
+    /** The cache key of @p index; requires split_. */
+    cache::CacheKey cacheKey(std::int64_t index) const;
+
     std::shared_ptr<const pipeline::Dataset> dataset_;
     std::shared_ptr<const pipeline::Collate> collate_;
     hwcount::OpTag collate_tag_;
@@ -156,7 +166,8 @@ class Fetcher
      *  [T3] histograms so the tuner can weigh it against transforms. */
     metrics::Histogram *collate_ns_;
     std::shared_ptr<cache::SampleCache> cache_;
-    /** Cached dataset cacheableSplit(); nullopt disables the cache. */
+    /** Cached dataset cacheableSplit(); nullopt (always so without a
+     *  cache) disables the cache. */
     std::optional<pipeline::CacheableSplit> split_;
     /** Read-ahead engine shared with the DataLoader (null = off). */
     std::shared_ptr<ReadAhead> read_ahead_;

@@ -15,9 +15,9 @@
  *
  *  - Bounded depth: at most `depth` blobs are issued-but-unclaimed at
  *    any time. The issuers stall — they never run ahead of a stalled
- *    consumer by more than the window, so memory stays O(depth) and a
- *    cache-warm epoch (which claims nothing) strands at most `depth`
- *    wasted reads before the engine goes quiet.
+ *    consumer by more than the window, so memory stays O(depth). The
+ *    loader leaves cache-resident samples (which claim nothing) out of
+ *    the plan, so no unclaimed read sits in the window.
  *  - Bit-identity: read-ahead moves *when and where* bytes are read,
  *    never *what* is decoded. claim() returns exactly the bytes a
  *    synchronous tryRead() would have returned (staged errors

@@ -1,12 +1,12 @@
 /**
  * @file
  * Decoded-sample cache suite: deterministic-prefix bookkeeping on
- * Compose, prefix fingerprints, the sharded CLOCK SampleCache
- * (budget, eviction, rejection, concurrent hammering, pooled warm
- * hits), disk materialization (round-trip, atomicity residue,
- * corruption recovery, directory claims), loader end-to-end warm
- * epochs (bit-identity, Loader-span collapse), and CacheEvent trace
- * records through record/visualize/analysis.
+ * Compose, prefix fingerprints, the sharded fill-once SampleCache
+ * (budget, rejection, concurrent hammering, pooled warm hits), disk
+ * materialization (round-trip, atomicity residue, corruption
+ * recovery, directory claims, spills counted as held), loader
+ * end-to-end warm epochs (bit-identity, Loader-span collapse), and
+ * CacheEvent trace records through record/visualize/analysis.
  */
 
 #include <gtest/gtest.h>
@@ -194,7 +194,7 @@ TEST(SampleCache, HitReturnsIsolatedDeepClone)
     EXPECT_EQ(stats.inserts, 1u);
 }
 
-TEST(SampleCache, EvictsUnderBudgetAndNeverExceedsIt)
+TEST(SampleCache, FillsOnceAndRejectsPastTheBudget)
 {
     const std::int64_t entry_bytes = static_cast<std::int64_t>(
         SampleCache::sampleBytes(stampedSample(0)));
@@ -208,37 +208,20 @@ TEST(SampleCache, EvictsUnderBudgetAndNeverExceedsIt)
         cache.insert(keyFor(i), stampedSample(i), ctx);
         EXPECT_LE(cache.stats().bytes, config.budget_bytes);
     }
+    // The first four entries fill the shard and stay; every later
+    // one is refused instead of displacing a resident.
+    for (std::int64_t i = 0; i < 32; ++i) {
+        EXPECT_EQ(cache.holds(keyFor(i)), i < 4) << "key " << i;
+        EXPECT_EQ(cache.lookup(keyFor(i), ctx).has_value(), i < 4)
+            << "key " << i;
+    }
     const auto stats = cache.stats();
-    EXPECT_EQ(stats.inserts, 32u);
-    EXPECT_EQ(stats.evictions, 28u);
+    EXPECT_EQ(stats.inserts, 4u);
+    EXPECT_EQ(stats.rejects, 28u);
+    EXPECT_EQ(stats.hits, 4u);
+    EXPECT_EQ(stats.misses, 28u);
+    EXPECT_EQ(stats.evictions, 0u);
     EXPECT_EQ(stats.bytes, 4 * entry_bytes);
-}
-
-TEST(SampleCache, ClockGivesReferencedEntriesASecondChance)
-{
-    const std::int64_t entry_bytes = static_cast<std::int64_t>(
-        SampleCache::sampleBytes(stampedSample(0)));
-    CacheConfig config;
-    config.shards = 1;
-    config.budget_bytes = 4 * entry_bytes;
-    SampleCache cache(config);
-    PipelineContext ctx;
-
-    // Fill the shard (keys 0-3), then overflow once: the sweep clears
-    // every reference bit and evicts under the wrapped hand, leaving
-    // keys 1-3 unreferenced residents.
-    for (std::int64_t i = 0; i <= 4; ++i)
-        cache.insert(keyFor(i), stampedSample(i), ctx);
-    ASSERT_EQ(cache.stats().evictions, 1u);
-
-    // Touch key 1, then overflow again: the hand must pass over the
-    // just-referenced key 1 (second chance) and evict an untouched
-    // peer instead.
-    ASSERT_TRUE(cache.lookup(keyFor(1), ctx).has_value());
-    cache.insert(keyFor(5), stampedSample(5), ctx);
-    EXPECT_TRUE(cache.lookup(keyFor(1), ctx).has_value())
-        << "referenced entry was evicted ahead of unreferenced peers";
-    EXPECT_EQ(cache.stats().evictions, 2u);
 }
 
 TEST(SampleCache, RejectsEntriesLargerThanAShard)
@@ -285,10 +268,10 @@ TEST(SampleCache, WarmHitsAllocateFromThePoolNotTheHeap)
 
 TEST(SampleCache, ConcurrentHammerKeepsBudgetAndContentInvariants)
 {
-    // Multi-worker eviction hammer (also run under TSan): every
-    // thread mixes lookups and inserts over a keyspace several times
-    // the budget, so CLOCK hands, free lists and the index are
-    // constantly churning in every shard.
+    // Multi-worker hammer (also run under TSan): every thread mixes
+    // lookups and inserts over a keyspace several times the budget,
+    // so every shard fills under contention and then refuses racing
+    // admissions while serving concurrent hits.
     const std::int64_t entry_bytes = static_cast<std::int64_t>(
         SampleCache::sampleBytes(stampedSample(0)));
     CacheConfig config;
@@ -326,12 +309,9 @@ TEST(SampleCache, ConcurrentHammerKeepsBudgetAndContentInvariants)
     EXPECT_LE(stats.bytes, config.budget_bytes);
     EXPECT_GE(stats.bytes, 0);
     EXPECT_GT(stats.hits, 0u);
-    EXPECT_GT(stats.evictions, 0u);
-    // Conservation: every admitted byte was either evicted or is
-    // still resident.
-    EXPECT_EQ(static_cast<std::int64_t>(stats.inserts -
-                                        stats.evictions) *
-                  entry_bytes,
+    EXPECT_GT(stats.rejects, 0u);
+    // Conservation: every admitted byte is still resident.
+    EXPECT_EQ(static_cast<std::int64_t>(stats.inserts) * entry_bytes,
               stats.bytes);
 }
 
@@ -422,6 +402,33 @@ TEST(Materialize, StoreSpillsAtomicallyAndRecoversFromCorruption)
     EXPECT_EQ(corrupt.error().stage, "cache");
     EXPECT_FALSE(store.contains(3));
     EXPECT_EQ(store.tryLoad(3).error().code, ErrorCode::kNotFound);
+}
+
+TEST(Materialize, HoldsCountsSpillsTheMemoryBudgetRejected)
+{
+    // The loader leaves held keys out of its read-ahead plan, so a
+    // spilled sample must count as held even when memory is full.
+    TempDir dir("lotus_cache_holds");
+    CacheConfig config;
+    config.shards = 1;
+    config.budget_bytes = static_cast<std::int64_t>(
+        SampleCache::sampleBytes(stampedSample(0)));
+    config.materialize_dir = dir.file("spills");
+    config.fingerprint = 5;
+    SampleCache cache(config);
+    PipelineContext ctx;
+
+    EXPECT_FALSE(cache.holds(keyFor(0)));
+    cache.insert(keyFor(0), stampedSample(0), ctx); // memory + spill
+    cache.insert(keyFor(1), stampedSample(1), ctx); // spill only
+    EXPECT_EQ(cache.stats().rejects, 1u);
+    EXPECT_TRUE(cache.holds(keyFor(0)));
+    EXPECT_TRUE(cache.holds(keyFor(1)));
+    EXPECT_FALSE(cache.holds(keyFor(2)));
+    auto from_disk = cache.lookup(keyFor(1), ctx);
+    ASSERT_TRUE(from_disk.has_value());
+    EXPECT_TRUE(sampleMatches(*from_disk, 1));
+    EXPECT_EQ(cache.stats().disk_hits, 1u);
 }
 
 TEST(Materialize, DirectoryClaimReleasesOnDestruction)
@@ -519,7 +526,7 @@ TEST(CachedLoader, WarmEpochsAreBitIdenticalAndSkipTheLoader)
     const auto stats = cached.cache()->stats();
     EXPECT_EQ(stats.misses, static_cast<std::uint64_t>(kSamples));
     EXPECT_EQ(stats.hits, static_cast<std::uint64_t>(2 * kSamples));
-    EXPECT_EQ(stats.evictions, 0u);
+    EXPECT_EQ(stats.rejects, 0u);
 
     // [T3] Loader spans (store read + decode) collapse to cold-epoch
     // only; CacheEvents mark every warm hit in worker lanes.

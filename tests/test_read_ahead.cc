@@ -4,6 +4,7 @@
  * prefetched bytes, misses fall back, depth bounds outstanding work,
  * cancel wakes blocked claims), loader integration across all three
  * fetch paths with bit-identical batches (cold and cache-warm),
+ * warm epochs issuing only the reads they claim,
  * ErrorPolicy composition over FaultyStore(RemoteStore), off-thread
  * IoEvent correlation, and option validation.
  */
@@ -315,6 +316,23 @@ makeDataset(std::shared_ptr<const pipeline::BlobStore> store)
         /*num_classes=*/1 << 20);
 }
 
+/** One epoch of payload bytes + labels from @p loader. */
+std::vector<std::uint8_t>
+epochBytes(DataLoader &loader)
+{
+    loader.startEpoch();
+    std::vector<std::uint8_t> bytes;
+    while (auto batch = loader.next()) {
+        const std::uint8_t *raw = batch->data.raw();
+        bytes.insert(bytes.end(), raw, raw + batch->data.byteSize());
+        for (const std::int64_t label : batch->labels) {
+            const auto *p = reinterpret_cast<const std::uint8_t *>(&label);
+            bytes.insert(bytes.end(), p, p + sizeof(label));
+        }
+    }
+    return bytes;
+}
+
 /** Two epochs of payload bytes + labels (cold, then cache-warm when
  *  the options enable a cache). */
 std::vector<std::vector<std::uint8_t>>
@@ -324,20 +342,8 @@ twoEpochBytes(const std::shared_ptr<pipeline::Dataset> &dataset,
     DataLoader loader(dataset,
                       std::make_shared<pipeline::StackCollate>(), options);
     std::vector<std::vector<std::uint8_t>> epochs;
-    for (int epoch = 0; epoch < 2; ++epoch) {
-        loader.startEpoch();
-        std::vector<std::uint8_t> bytes;
-        while (auto batch = loader.next()) {
-            const std::uint8_t *raw = batch->data.raw();
-            bytes.insert(bytes.end(), raw, raw + batch->data.byteSize());
-            for (const std::int64_t label : batch->labels) {
-                const auto *p =
-                    reinterpret_cast<const std::uint8_t *>(&label);
-                bytes.insert(bytes.end(), p, p + sizeof(label));
-            }
-        }
-        epochs.push_back(std::move(bytes));
-    }
+    for (int epoch = 0; epoch < 2; ++epoch)
+        epochs.push_back(epochBytes(loader));
     return epochs;
 }
 
@@ -381,6 +387,94 @@ TEST(ReadAheadLoader, BitIdenticalAcrossPathsColdAndCacheWarm)
         EXPECT_EQ(twoEpochBytes(dataset, options), expected)
             << path.name;
     }
+}
+
+TEST(ReadAheadLoader, WarmEpochsPrefetchOnlyWhatTheyClaim)
+{
+    // A fill-once cache at about half the working set: warm epochs hit
+    // exactly the samples epoch 0 admitted, and the epoch plan leaves
+    // those out, so every read the I/O threads issue gets claimed. A
+    // plan that still listed cached samples would park their blobs in
+    // the window unclaimed (issued > hits) until the epoch ended.
+    constexpr int kSamples = 48;
+    constexpr int kEpochs = 3;
+    // The decode-only prefix keeps a 16x16 RGB u8 image per sample.
+    constexpr std::int64_t kEntryBytes = 16 * 16 * 3;
+    metrics::ScopedEnable enable;
+    auto &registry = metrics::MetricsRegistry::instance();
+    registry.reset();
+
+    RemoteStoreOptions remote_options;
+    remote_options.rtt = 200 * kMicrosecond;
+    remote_options.bytes_per_ns = 0.0;
+    auto remote = std::make_shared<RemoteStore>(makeEncodedStore(kSamples),
+                                                remote_options);
+    auto dataset = makeDataset(remote);
+    auto collate = std::make_shared<pipeline::StackCollate>();
+
+    DataLoaderOptions reference;
+    reference.batch_size = 4;
+    reference.num_workers = 2;
+    reference.shuffle = true;
+    reference.seed = 31;
+    std::vector<std::vector<std::uint8_t>> expected;
+    {
+        DataLoader uncached(dataset, collate, reference);
+        for (int epoch = 0; epoch < kEpochs; ++epoch)
+            expected.push_back(epochBytes(uncached));
+    }
+
+    struct PathCase
+    {
+        const char *name;
+        int workers;
+        Schedule schedule;
+    };
+    const PathCase cases[] = {
+        {"round-robin", 2, Schedule::kRoundRobin},
+        {"work-stealing", 2, Schedule::kWorkStealing},
+        {"sync", 0, Schedule::kRoundRobin},
+    };
+    const metrics::Counter *issued =
+        registry.counter(dataflow::kReadAheadIssuedMetric);
+    const metrics::Counter *hits =
+        registry.counter(dataflow::kReadAheadHitsMetric);
+    for (const PathCase &path : cases) {
+        SCOPED_TRACE(path.name);
+        DataLoaderOptions options = reference;
+        options.num_workers = path.workers;
+        options.schedule = path.schedule;
+        options.cache_policy = dataflow::CachePolicy::kMemory;
+        options.cache_budget_bytes = kSamples * kEntryBytes / 2;
+        options.read_ahead_depth = 8;
+        options.io_threads = 2;
+        DataLoader loader(dataset, collate, options);
+        ASSERT_NE(loader.cache(), nullptr);
+        ASSERT_NE(loader.readAhead(), nullptr);
+
+        std::vector<std::uint64_t> cache_hits;
+        for (int epoch = 0; epoch < kEpochs; ++epoch) {
+            const std::uint64_t issued_before = issued->value();
+            const std::uint64_t hits_before = hits->value();
+            const std::uint64_t cache_before = loader.cache()->stats().hits;
+            EXPECT_EQ(epochBytes(loader), expected[epoch])
+                << "epoch " << epoch;
+            EXPECT_EQ(issued->value() - issued_before,
+                      hits->value() - hits_before)
+                << "epoch " << epoch;
+            cache_hits.push_back(loader.cache()->stats().hits -
+                                 cache_before);
+        }
+        const auto stats = loader.cache()->stats();
+        EXPECT_EQ(stats.bytes,
+                  static_cast<std::int64_t>(stats.inserts) * kEntryBytes);
+        EXPECT_EQ(cache_hits[0], 0u);
+        EXPECT_GT(cache_hits[1], 0u);
+        EXPECT_LT(cache_hits[1], static_cast<std::uint64_t>(kSamples));
+        EXPECT_EQ(cache_hits[1], stats.inserts);
+        EXPECT_EQ(cache_hits[2], cache_hits[1]);
+    }
+    registry.reset();
 }
 
 /** Forwards to an inner store, but every read parks at a gate until

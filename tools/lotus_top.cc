@@ -197,14 +197,13 @@ render(const JsonValue &document, const std::string &source)
         gauges != nullptr ? numberField(*gauges, "lotus_cache_bytes")
                           : 0.0;
     std::printf("  cache hit %.1f%%  (%.0f hits / %.0f misses)   "
-                "resident %.1f MiB   evictions %.0f\n",
+                "resident %.1f MiB   rejects %.0f\n",
                 cache_lookups > 0 ? cache_hits / cache_lookups * 100.0
                                   : 0.0,
                 cache_hits, cache_misses,
                 cache_bytes / (1024.0 * 1024.0),
                 counters != nullptr
-                    ? numberField(*counters,
-                                  "lotus_cache_evictions_total")
+                    ? numberField(*counters, "lotus_cache_rejects_total")
                     : 0.0);
     std::printf("  cache disk: hits %.0f  spills %.0f  corrupt %.0f\n",
                 counters != nullptr

@@ -3,7 +3,7 @@
 # ASan+UBSan CI job: build with LOTUS_SANITIZE=address (which bundles
 # UBSan, see the top-level CMakeLists.txt) and run the suites that
 # chew on attacker-shaped or lifecycle-heavy inputs — the decoded-
-# sample cache (spill-file parser, mmap reads, eviction recycling) and
+# sample cache (spill-file parser, mmap reads, disk-hit promotion) and
 # the fault-injection corruption sweeps — plus the image codec, whose
 # decoder is the other untrusted-bytes surface.
 #

@@ -14,8 +14,8 @@ REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 BUILD_DIR="${BUILD_DIR:-${REPO_ROOT}/build-tsan}"
 
 # TSan-instrumented targets only; the full suite is the tier-1 job.
-# test_cache is here for the multi-thread eviction hammer: every
-# shard's CLOCK hand, free list and index churn under contention.
+# test_cache is here for the multi-thread hammer: every shard fills
+# under contention, then refuses racing admissions beside hits.
 # test_hwcount covers the per-thread PMU attribution registry, whose
 # snapshot()/charge() paths race against worker attach/detach.
 # test_remote_store hammers the connection-slot gate from concurrent
