@@ -30,16 +30,6 @@ BitWriter::putUe(std::uint32_t value)
 }
 
 void
-BitWriter::putSe(std::int32_t value)
-{
-    // Zigzag map: 0, -1, 1, -2, 2 ... -> 0, 1, 2, 3, 4 ...
-    const std::uint32_t mapped =
-        value <= 0 ? static_cast<std::uint32_t>(-2 * static_cast<std::int64_t>(value))
-                   : static_cast<std::uint32_t>(2 * static_cast<std::int64_t>(value) - 1);
-    putUe(mapped);
-}
-
-void
 BitWriter::alignByte()
 {
     if (bit_pos_ > 0)
@@ -54,98 +44,6 @@ BitWriter::take()
                     bytes_.size());
     bytes_.clear();
     return out;
-}
-
-BitReader::BitReader(const std::uint8_t *data, std::size_t size)
-    : data_(data), size_bits_(size * 8), size_bytes_(size)
-{
-}
-
-void
-BitReader::refill()
-{
-    while (window_bits_ <= 56 && byte_cursor_ < size_bytes_) {
-        window_ = (window_ << 8) | data_[byte_cursor_++];
-        window_bits_ += 8;
-    }
-}
-
-std::uint32_t
-BitReader::getBits(int count)
-{
-    // The reader sits on the untrusted-input surface: a malformed
-    // stream must surface as a decode error (overrun), never a panic.
-    if (count < 0 || count > 32) {
-        overrun_ = true;
-        bit_index_ = size_bits_;
-        return 0;
-    }
-    if (count == 0)
-        return 0;
-    if (bit_index_ + static_cast<std::size_t>(count) > size_bits_) {
-        overrun_ = true;
-        bit_index_ = size_bits_;
-        return 0;
-    }
-    if (window_bits_ < count)
-        refill();
-    bit_index_ += static_cast<std::size_t>(count);
-    window_bits_ -= count;
-    return static_cast<std::uint32_t>((window_ >> window_bits_) &
-                                      ((1ull << count) - 1));
-}
-
-std::uint32_t
-BitReader::getUe()
-{
-    // Fast path: count the leading zeros of the whole code with one
-    // clz over the refilled window instead of a bit-at-a-time loop.
-    if (window_bits_ < 57)
-        refill();
-    if (window_bits_ > 0) {
-        const std::uint64_t aligned = window_ << (64 - window_bits_);
-        const int zeros =
-            aligned == 0 ? 64 : std::countl_zero(aligned);
-        const int code_bits = 2 * zeros + 1;
-        if (zeros <= 31 && code_bits <= window_bits_) {
-            window_bits_ -= code_bits;
-            bit_index_ += static_cast<std::size_t>(code_bits);
-            const auto code = static_cast<std::uint32_t>(
-                (window_ >> window_bits_) &
-                ((1ull << code_bits) - 1));
-            return code - 1;
-        }
-    }
-    // Slow path: stream nearly exhausted or an over-long code
-    // (corruption); the bitwise loop handles overrun bookkeeping.
-    int zeros = 0;
-    while (!overrun_ && getBits(1) == 0) {
-        if (++zeros > 32) {
-            overrun_ = true;
-            return 0;
-        }
-    }
-    if (overrun_)
-        return 0;
-    const std::uint32_t tail = zeros == 0 ? 0 : getBits(zeros);
-    return ((1u << zeros) | tail) - 1;
-}
-
-std::int32_t
-BitReader::getSe()
-{
-    const std::uint32_t mapped = getUe();
-    if (mapped % 2 == 0)
-        return -static_cast<std::int32_t>(mapped / 2);
-    return static_cast<std::int32_t>((mapped + 1) / 2);
-}
-
-void
-BitReader::alignByte()
-{
-    const std::size_t rem = bit_index_ % 8;
-    if (rem != 0)
-        getBits(static_cast<int>(8 - rem));
 }
 
 } // namespace lotus::image::codec

@@ -168,7 +168,14 @@ writeBlock(BitWriter &writer, const QuantBlock &q, std::int32_t &dc_pred,
 
 /** Decode one quantized block. Returns false on stream corruption.
  *  @p extent summarizes the coded coefficients (count and last zigzag
- *  index) so the inverse transform can take sparse fast paths. */
+ *  index) so the inverse transform can take sparse fast paths.
+ *
+ *  AC pairs whose codes fit kAcPairBits decode whole from one table
+ *  lookup, several lookups to one peek; the DC delta, the
+ *  end-of-block code and longer or invalid pairs take the countl_zero
+ *  path. Reads never stop at the end of the payload (past-the-end
+ *  bits peek as zeros), so the past-the-end check runs once, when the
+ *  block is complete. */
 bool
 readBlock(BitReader &reader, QuantBlock &q, std::int32_t &dc_pred,
           std::uint64_t &symbols, CoeffExtent &extent)
@@ -182,10 +189,12 @@ readBlock(BitReader &reader, QuantBlock &q, std::int32_t &dc_pred,
 
     const auto &zz = zigzagOrder();
     q.fill(0);
+    std::uint32_t code = 0;
+    if (!reader.readUe(code))
+        return false;
     const std::int64_t dc =
-        static_cast<std::int64_t>(dc_pred) + reader.getSe();
-    if (reader.overrun() || dc < -kMaxCoeffMagnitude ||
-        dc > kMaxCoeffMagnitude)
+        static_cast<std::int64_t>(dc_pred) + ueToSigned(code);
+    if (dc < -kMaxCoeffMagnitude || dc > kMaxCoeffMagnitude)
         return false;
     dc_pred = static_cast<std::int32_t>(dc);
     q[static_cast<std::size_t>(zz[0])] = dc_pred;
@@ -194,34 +203,54 @@ readBlock(BitReader &reader, QuantBlock &q, std::int32_t &dc_pred,
     extent.last_zz = 0;
 
     int k = 1;
+    std::uint64_t window = 0;
+    int window_bits = 0;
     while (k < kBlockSize) {
-        const std::uint32_t run = reader.getUe();
-        if (reader.overrun())
-            return false;
-        ++symbols;
-        if (run == kEobRun)
-            return true;
-        // A corrupt stream can code an arbitrary 32-bit run; reject it
-        // before the int cast below can wrap negative and index zz[].
-        if (run > static_cast<std::uint32_t>(kBlockSize))
-            return false;
-        k += static_cast<int>(run);
+        if (window_bits < kAcPairBits) {
+            window = reader.peek();
+            window_bits = kPeekBits;
+        }
+        const AcPair pair = kAcPairTable[window >> (64 - kAcPairBits)];
+        int run = pair.run;
+        std::int32_t level = pair.level;
+        if (pair.bits != 0) {
+            reader.skip(pair.bits);
+            window <<= pair.bits;
+            window_bits -= pair.bits;
+        } else {
+            window_bits = 0;
+            if (!reader.readUe(code))
+                return false;
+            if (code == kEobRun) {
+                ++symbols;
+                return !reader.overrun();
+            }
+            // A corrupt stream can code an arbitrary run; reject it
+            // before the int cast below can wrap negative.
+            if (code > static_cast<std::uint32_t>(kBlockSize))
+                return false;
+            run = static_cast<int>(code);
+            if (!reader.readUe(code))
+                return false;
+            level = ueToSigned(code);
+            if (level == 0 || level < -kMaxCoeffMagnitude ||
+                level > kMaxCoeffMagnitude)
+                return false;
+        }
+        k += run;
         if (k >= kBlockSize)
             return false;
-        const std::int32_t level = reader.getSe();
-        if (reader.overrun() || level == 0 ||
-            level < -kMaxCoeffMagnitude || level > kMaxCoeffMagnitude)
-            return false;
         q[static_cast<std::size_t>(zz[k])] = level;
-        ++symbols;
+        symbols += 2;
         ++extent.nonzero;
         extent.last_zz = static_cast<std::int16_t>(k);
         ++k;
     }
     // A full block of 63 coded ACs still carries its EOB marker.
-    const std::uint32_t eob = reader.getUe();
+    if (!reader.readUe(code) || code != kEobRun)
+        return false;
     ++symbols;
-    return !reader.overrun() && eob == kEobRun;
+    return !reader.overrun();
 }
 
 void

@@ -56,12 +56,14 @@ LjpgHeader peekHeader(const std::string &bytes);
 struct DecodeOptions
 {
     /**
-     * Run the retained scalar reference kernels (bulk payload copy,
+     * Run the retained scalar reference tail (bulk payload copy,
      * dense dequantize + IDCT, float color conversion and chroma
-     * upsampling) instead of the optimized fast path. The two paths
-     * agree within max-abs-diff <= 1 per channel; the reference
-     * exists for differential testing and as the baseline in perf
-     * trajectory benches. Both paths emit the same KernelIds.
+     * upsampling) instead of the optimized fast path. Both modes share
+     * the one table-driven entropy decoder (decode_mcu), so they agree
+     * on every accept/reject verdict; their pixels agree within
+     * max-abs-diff <= 1 per channel. The reference exists for
+     * differential testing and as the baseline in perf trajectory
+     * benches. Both paths emit the same KernelIds.
      */
     bool reference = false;
     /**

@@ -161,6 +161,20 @@ TEST(CorruptionSweep, OversizedExpGolombRunIsADecodeError)
     EXPECT_EQ(decoded.error().code, ErrorCode::kCorruptData);
 }
 
+TEST(CorruptionSweep, ThirtyTwoZeroExpGolombPrefixIsADecodeError)
+{
+    // Regression: a luma DC code of exactly 32 leading zeros and a 1
+    // used to evaluate 1u << 32 in the reader's bit-at-a-time loop
+    // (undefined behaviour). Any prefix past 28 zeros is corrupt.
+    const unsigned char bytes[22] = {'L', 'J', '0', '1', 16, 0, 16, 0,
+                                     75, 1, 0x00, 0x00, 0x00, 0x00, 0x80};
+    const std::string blob(reinterpret_cast<const char *>(bytes),
+                           sizeof(bytes));
+    Result<image::Image> decoded = image::codec::tryDecode(blob);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.error().code, ErrorCode::kCorruptData);
+}
+
 TEST(CorruptionSweep, HugeHeaderDimensionsRejectedBeforeAllocation)
 {
     // A flipped header byte can claim a 65535x65535 image from a tiny

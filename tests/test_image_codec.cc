@@ -10,6 +10,7 @@
 #include <set>
 
 #include "common/rng.h"
+#include "hwcount/registry.h"
 #include "image/codec/bitio.h"
 #include "image/codec/codec.h"
 #include "image/codec/color.h"
@@ -116,6 +117,239 @@ TEST(BitIo, AlignByte)
     reader.getBits(1);
     reader.alignByte();
     EXPECT_EQ(reader.getBits(8), 0xAAu);
+}
+
+/** @p zeros leading zero bits, a 1, then enough payload for the
+ *  code's tail and the reader's 8-byte peek. */
+std::vector<std::uint8_t>
+zeroPrefixedCode(int zeros)
+{
+    BitWriter writer;
+    writer.putBits(0, zeros / 2);
+    writer.putBits(0, zeros - zeros / 2);
+    writer.putBits(1, 1);
+    writer.putBits(0x5A5A5A5Au, 32);
+    writer.putBits(0x5A5A5A5Au, 32);
+    const std::string bytes = writer.take();
+    return {bytes.begin(), bytes.end()};
+}
+
+TEST(BitIo, OverlongExpGolombPrefixIsRejected)
+{
+    // 28 zeros is the longest prefix the reader accepts; 31..33 used
+    // to reach the bit-at-a-time loop, and 32 evaluated 1u << 32.
+    const auto ok = zeroPrefixedCode(kMaxUeZeros);
+    BitReader accepted(ok.data(), ok.size());
+    std::uint32_t value = 0;
+    ASSERT_TRUE(accepted.readUe(value));
+    EXPECT_EQ(value, ((1u << 28) | (0x5A5A5A5Au >> 4)) - 1);
+    EXPECT_EQ(accepted.bitPosition(), 57u);
+    EXPECT_FALSE(accepted.overrun());
+
+    for (const int zeros : {29, 31, 32, 33}) {
+        const auto bytes = zeroPrefixedCode(zeros);
+        BitReader reader(bytes.data(), bytes.size());
+        EXPECT_FALSE(reader.readUe(value)) << zeros << " zeros";
+        EXPECT_TRUE(reader.overrun()) << zeros << " zeros";
+        BitReader again(bytes.data(), bytes.size());
+        EXPECT_EQ(again.getUe(), 0u);
+        EXPECT_TRUE(again.overrun());
+    }
+}
+
+TEST(BitIo, CodesStraddlingTheFinalPeekBoundary)
+{
+    // Payloads of 1..17 bytes filled exactly (no padding) with codes of
+    // mixed length, at every bit phase: the codes cross the boundary
+    // where peeks switch from the 8-byte load to the zero-padded tail.
+    Rng rng(17);
+    for (std::size_t size = 1; size <= 17; ++size) {
+        for (int trial = 0; trial < 40; ++trial) {
+            BitWriter writer;
+            std::vector<std::uint32_t> values;
+            const std::size_t total_bits = size * 8;
+            for (;;) {
+                const auto value = static_cast<std::uint32_t>(
+                    rng.nextBelow(std::uint64_t(1) << rng.nextBelow(14)));
+                if (writer.bitCount() + static_cast<std::size_t>(
+                                            ueCodeBits(value)) >
+                    total_bits)
+                    break;
+                writer.putUe(value);
+                values.push_back(value);
+            }
+            while (writer.bitCount() < total_bits) {
+                writer.putUe(0); // one '1' bit
+                values.push_back(0);
+            }
+            const std::string bytes = writer.take();
+            ASSERT_EQ(bytes.size(), size);
+            BitReader reader(reinterpret_cast<const std::uint8_t *>(
+                                 bytes.data()),
+                             bytes.size());
+            for (const auto expected : values) {
+                std::uint32_t value = 0;
+                ASSERT_TRUE(reader.readUe(value));
+                ASSERT_EQ(value, expected) << "payload " << size;
+            }
+            EXPECT_EQ(reader.bitPosition(), total_bits);
+            EXPECT_FALSE(reader.overrun());
+            // Nothing is left but the zero padding past the end.
+            std::uint32_t value = 0;
+            EXPECT_FALSE(reader.readUe(value));
+            EXPECT_TRUE(reader.overrun());
+        }
+    }
+}
+
+TEST(BitIo, ZeroPaddedTailNeverDecodesAsAValidCode)
+{
+    for (std::size_t size = 1; size <= 17; ++size) {
+        // A payload of only zero bits holds no code at any offset.
+        const std::vector<std::uint8_t> zeros(size, 0);
+        for (std::size_t skip = 0; skip < size * 8; ++skip) {
+            BitReader reader(zeros.data(), zeros.size());
+            reader.skip(static_cast<int>(skip));
+            std::uint32_t value = 0;
+            EXPECT_FALSE(reader.readUe(value) && !reader.overrun());
+        }
+        // A prefix whose marker bit is the last payload bit needs its
+        // tail from the padding: decoded, but overrun.
+        std::vector<std::uint8_t> last_bit(size, 0);
+        last_bit.back() = 1;
+        BitReader reader(last_bit.data(), last_bit.size());
+        std::uint32_t value = 0;
+        if (reader.readUe(value)) {
+            EXPECT_TRUE(reader.overrun()) << "payload " << size;
+        }
+        // A one-bit code ending exactly at the last payload bit is
+        // valid.
+        BitReader one_bit(last_bit.data(), last_bit.size());
+        one_bit.skip(static_cast<int>(size * 8) - 1);
+        ASSERT_TRUE(one_bit.readUe(value));
+        EXPECT_EQ(value, 0u);
+        EXPECT_FALSE(one_bit.overrun());
+    }
+}
+
+/** Work a kernel accumulated so far, over every thread. */
+hwcount::WorkStats
+kernelStats(hwcount::KernelId id)
+{
+    return hwcount::KernelRegistry::instance()
+        .snapshot()
+        .aggregate[static_cast<std::size_t>(id)]
+        .stats;
+}
+
+/** An 8x8, q75, full-chroma LJPG header followed by @p payload. */
+std::string
+craftedBlob(const std::string &payload)
+{
+    const char header[10] = {'L', 'J', '0', '1', 8, 0, 8, 0, 75, 0};
+    return std::string(header, sizeof(header)) + payload;
+}
+
+TEST(BitIo, EveryTableWidthAcPairRoundTrips)
+{
+    // Every (run, level) pair whose two codes fit kAcPairBits decodes
+    // whole from kAcPairTable, at every bit phase; every other table
+    // entry sends the decoder to the countl_zero path.
+    int pairs = 0;
+    std::vector<bool> covered(kAcPairTable.size(), false);
+    for (int run = 0; run < 64; ++run) {
+        for (int level = -40; level <= 40; ++level) {
+            const int bits = ueCodeBits(static_cast<std::uint32_t>(run)) +
+                             ueCodeBits(signedToUe(level));
+            const bool fits = level != 0 && run < 63 && bits <= kAcPairBits;
+            for (int phase = 0; phase < 8; ++phase) {
+                BitWriter writer;
+                writer.putBits(0x7F, phase);
+                writer.putUe(static_cast<std::uint32_t>(run));
+                writer.putSe(level);
+                writer.putBits(0x7FFFFFFF, 31);
+                const std::string bytes = writer.take();
+                BitReader reader(
+                    reinterpret_cast<const std::uint8_t *>(bytes.data()),
+                    bytes.size());
+                reader.skip(phase);
+                const std::size_t index =
+                    reader.peek() >> (64 - kAcPairBits);
+                const AcPair pair = kAcPairTable[index];
+                if (!fits) {
+                    // Invalid or too long for the table: never a hit
+                    // that would decode this pair.
+                    EXPECT_FALSE(pair.bits != 0 && pair.run == run &&
+                                 pair.level == level);
+                    continue;
+                }
+                ASSERT_EQ(pair.bits, bits) << run << "," << level;
+                EXPECT_EQ(pair.run, run);
+                EXPECT_EQ(pair.level, level);
+                const std::size_t span = std::size_t(1) << (kAcPairBits - bits);
+                for (std::size_t i = index & ~(span - 1);
+                     i < (index & ~(span - 1)) + span; ++i)
+                    covered[i] = true;
+            }
+            if (!fits)
+                continue;
+            ++pairs;
+            // The same pair through readBlock: an 8x8 full-chroma image
+            // whose luma block codes DC 0, the pair, then EOB.
+            BitWriter payload;
+            payload.putSe(0);
+            payload.putUe(static_cast<std::uint32_t>(run));
+            payload.putSe(level);
+            payload.putUe(63);
+            for (int chroma = 0; chroma < 2; ++chroma) {
+                payload.alignByte();
+                payload.putSe(0);
+                payload.putUe(63);
+            }
+            const hwcount::WorkStats before =
+                kernelStats(hwcount::KernelId::DecodeMcu);
+            Result<Image> decoded = tryDecode(craftedBlob(payload.take()));
+            ASSERT_TRUE(decoded.ok()) << run << "," << level;
+            EXPECT_EQ(kernelStats(hwcount::KernelId::DecodeMcu).items -
+                          before.items,
+                      8u);
+        }
+    }
+    EXPECT_GT(pairs, 200);
+    for (std::size_t i = 0; i < kAcPairTable.size(); ++i)
+        EXPECT_EQ(kAcPairTable[i].bits != 0, static_cast<bool>(covered[i]))
+            << "entry " << i;
+}
+
+TEST(BitIo, AlignByteBetweenPlanesLandsOnByteBoundaries)
+{
+    // The codec aligns to a byte between planes; the reader must land
+    // exactly where the writer padded, from every bit phase, and an
+    // aligned cursor must stay put.
+    for (int phase = 0; phase < 8; ++phase) {
+        BitWriter writer;
+        writer.putBits(0x55, phase);
+        writer.alignByte();
+        const std::size_t first_plane = writer.bitCount();
+        writer.putUe(300);
+        writer.alignByte();
+        const std::size_t second_plane = writer.bitCount();
+        writer.putSe(-7);
+        const std::string bytes = writer.take();
+        BitReader reader(reinterpret_cast<const std::uint8_t *>(bytes.data()),
+                         bytes.size());
+        reader.skip(phase);
+        reader.alignByte();
+        EXPECT_EQ(reader.bitPosition(), first_plane);
+        reader.alignByte();
+        EXPECT_EQ(reader.bitPosition(), first_plane);
+        EXPECT_EQ(reader.getUe(), 300u);
+        reader.alignByte();
+        EXPECT_EQ(reader.bitPosition(), second_plane);
+        EXPECT_EQ(reader.bitPosition() % 8, 0u);
+        EXPECT_EQ(reader.getSe(), -7);
+        EXPECT_FALSE(reader.overrun());
+    }
 }
 
 TEST(Dct, RoundTripIsNearIdentity)
@@ -405,6 +639,36 @@ TEST(FastDecode, PaperWorkloadMatchesReference)
     const Image fast = decode(blob);
     const Image reference = decode(blob, DecodeOptions{.reference = true});
     EXPECT_LE(maxChannelDiff(fast, reference), 1);
+}
+
+TEST(CodecWorkStats, DecodeSymbolsMatchEncodeSymbols)
+{
+    // WorkStats count real work even though the decoder takes most AC
+    // pairs two symbols per table lookup: decode_mcu sees exactly the
+    // symbols encode_mcu wrote, and reads the whole payload except the
+    // sub-byte remainders of each block row and plane padding.
+    Rng rng(2024);
+    const Image img = synthesize(rng, 500, 375, SynthOptions{0.5, 4});
+    const hwcount::WorkStats encode_before =
+        kernelStats(hwcount::KernelId::EncodeMcu);
+    const std::string blob = encode(img, EncodeOptions{75, true});
+    const std::uint64_t encoded_symbols =
+        kernelStats(hwcount::KernelId::EncodeMcu).items -
+        encode_before.items;
+    for (const bool reference : {false, true}) {
+        const hwcount::WorkStats before =
+            kernelStats(hwcount::KernelId::DecodeMcu);
+        decode(blob, DecodeOptions{.reference = reference});
+        const hwcount::WorkStats after =
+            kernelStats(hwcount::KernelId::DecodeMcu);
+        EXPECT_EQ(after.items - before.items, encoded_symbols);
+        // Block rows: 47 luma + 2 x 24 chroma.
+        const std::uint64_t payload = blob.size() - 10;
+        const std::uint64_t rows = 47 + 2 * 24;
+        const std::uint64_t bytes_read = after.bytes_read - before.bytes_read;
+        EXPECT_LE(bytes_read, payload);
+        EXPECT_GE(bytes_read, payload - rows);
+    }
 }
 
 TEST(FastDecode, ZeroCopyDecodeIsDeterministic)

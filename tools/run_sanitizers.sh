@@ -5,7 +5,9 @@
 # chew on attacker-shaped or lifecycle-heavy inputs — the decoded-
 # sample cache (spill-file parser, mmap reads, disk-hit promotion) and
 # the fault-injection corruption sweeps — plus the image codec, whose
-# decoder is the other untrusted-bytes surface.
+# decoder is the other untrusted-bytes surface, and fuzz_ljpg_decode,
+# the differential LJPG decode fuzzer, which runs its fixed budget of
+# 10^5 seeded executions (corpus replay first) under ASan/UBSan here.
 #
 #   tools/run_sanitizers.sh              # build into build-asan/ and run
 #   BUILD_DIR=out tools/run_sanitizers.sh
@@ -33,7 +35,7 @@ BUILD_DIR="${BUILD_DIR:-${REPO_ROOT}/build-asan}"
 # service time. test_integration runs round-robin loaders end to end
 # (pinned submissions on the engine, per-epoch fleet teardown), and
 # test_metrics drives the loader and engine telemetry series.
-ASAN_TESTS='test_cache|test_fault_injection|test_image_codec|test_dataflow|test_pipeline|test_hwcount|test_trace|test_remote_store|test_read_ahead|test_tuner|test_service$|test_work_stealing|test_task_engine|test_integration|test_metrics'
+ASAN_TESTS='test_cache|test_fault_injection|test_image_codec|test_dataflow|test_pipeline|test_hwcount|test_trace|test_remote_store|test_read_ahead|test_tuner|test_service$|test_work_stealing|test_task_engine|test_integration|test_metrics|fuzz_ljpg_decode'
 
 cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" \
     -DLOTUS_SANITIZE=address \
@@ -43,7 +45,7 @@ cmake --build "${BUILD_DIR}" -j "$(nproc)" \
              test_dataflow test_pipeline test_hwcount test_trace \
              test_remote_store test_read_ahead test_tuner \
              test_service test_work_stealing test_task_engine \
-             test_integration test_metrics
+             test_integration test_metrics fuzz_ljpg_decode
 
 ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \
