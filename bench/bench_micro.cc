@@ -27,6 +27,7 @@
 #include "hwcount/thread_counters.h"
 #include "image/codec/codec.h"
 #include "image/codec/color.h"
+#include "image/geometry.h"
 #include "image/resample.h"
 #include "image/synth.h"
 #include "memory/buffer_pool.h"
@@ -430,6 +431,32 @@ runJsonMode(const char *path)
         }
     }
 
+    // Crop-aware decode: a fixed window of ~44% of the frame (the
+    // mean RandomResizedCrop keep at ImageNet sizes) at an odd offset,
+    // window decode vs decode-then-crop of the same window.
+    double window_ns = 0.0;
+    double crop_ns = 0.0;
+    {
+        Rng rng(41);
+        const auto img = image::synthesize(rng, 500, 375,
+                                           image::SynthOptions{0.5, 4});
+        const std::string blob =
+            image::codec::encode(img, EncodeOptions{75, true});
+        const image::Rect window{77, 53, 331, 249};
+        const auto bytes = static_cast<std::uint64_t>(window.width) *
+                           static_cast<std::uint64_t>(window.height) * 3;
+        cases.push_back(measureCase(
+            "decode_window_500x375_q75_sub", bytes, [&blob, &window] {
+                image::codec::tryDecodeWindow(blob, window);
+            }));
+        window_ns = cases.back().ns_per_op;
+        cases.push_back(measureCase(
+            "decode_crop_500x375_q75_sub", bytes, [&blob, &window] {
+                image::crop(image::codec::decode(blob), window);
+            }));
+        crop_ns = cases.back().ns_per_op;
+    }
+
     // The same decode forced through every SIMD dispatch tier the
     // host supports: the per-tier trajectory behind
     // simd_speedup_vs_scalar.
@@ -673,6 +700,9 @@ runJsonMode(const char *path)
                  "  \"decode_speedup_vs_reference_500x375_q75\": %.2f,\n",
                  speedup);
     std::fprintf(out,
+                 "  \"window_decode_speedup_vs_crop_500x375_q75\": %.2f,\n",
+                 window_ns > 0.0 ? crop_ns / window_ns : 0.0);
+    std::fprintf(out,
                  "  \"simd_speedup_vs_scalar\": "
                  "{\"decode_500x375_q75_sub\": %.2f, "
                  "\"resize_500x375_to_224\": %.2f, "
@@ -707,6 +737,8 @@ runJsonMode(const char *path)
                     c.ns_per_op, c.mb_per_s);
     std::printf("decode 500x375 q75 speedup vs reference: %.2fx\n",
                 speedup);
+    std::printf("window decode 500x375 q75 (44%%) vs decode+crop: %.2fx\n",
+                window_ns > 0.0 ? crop_ns / window_ns : 0.0);
     std::printf("simd tier %s vs scalar: decode %.2fx, resize %.2fx, "
                 "normalize %.2fx\n",
                 simd::tierName(default_tier),

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <type_traits>
 
 #include "common/logging.h"
@@ -302,19 +303,64 @@ encodePlane(const Plane &plane, const std::array<std::uint16_t, 64> &table,
     }
 }
 
-/** Decode one plane. The plane type selects the implementation: the
- *  float Plane runs the retained dense reference (dequantize + dense
- *  IDCT), the integer PlaneI16 runs the fast path (fused sparse
- *  dequant + IDCT, integer block store). Both attribute work to the
- *  same decode_mcu / dequantize_block / jpeg_idct_islow kernels. */
+/** The blocks of one plane, columns [bx0, bx1) and rows [by0, by1),
+ *  that a decode keeps. */
+struct BlockRange
+{
+    int bx0 = 0;
+    int bx1 = 0;
+    int by0 = 0;
+    int by1 = 0;
+};
+
+/** The blocks of a (width, height) plane that meet @p region. */
+BlockRange
+blocksMeeting(const Rect &region, int width, int height)
+{
+    return BlockRange{region.x / kBlockDim,
+                      std::min(blocksAcross(region.x + region.width),
+                               blocksAcross(width)),
+                      region.y / kBlockDim,
+                      std::min(blocksAcross(region.y + region.height),
+                               blocksAcross(height))};
+}
+
+/** Uninitialized storage for the kept blocks of a (width, height)
+ *  plane: edge blocks are clipped to the plane, as in a full decode. */
+template <typename PlaneT>
+PlaneT
+planeFor(const BlockRange &keep, int width, int height)
+{
+    const int x0 = keep.bx0 * kBlockDim;
+    const int y0 = keep.by0 * kBlockDim;
+    PlaneT plane = PlaneT::uninitialized(
+        std::min(width, keep.bx1 * kBlockDim) - x0,
+        std::min(height, keep.by1 * kBlockDim) - y0);
+    if constexpr (std::is_same_v<PlaneT, PlaneI16>) {
+        plane.x0 = x0;
+        plane.y0 = y0;
+    }
+    return plane;
+}
+
+/** Decode one (width, height) plane. Every block is entropy-decoded
+ *  (DC prediction chains across the whole plane, and every stream
+ *  must get the same verdict), but only the blocks in @p keep are
+ *  dequantized, transformed and stored, into @p plane (planeFor).
+ *  The plane type selects the implementation: the float Plane runs
+ *  the retained dense reference (dequantize + dense IDCT), the
+ *  integer PlaneI16 runs the fast path (fused sparse dequant + IDCT,
+ *  integer block store). Both attribute work to the same decode_mcu
+ *  / dequantize_block / jpeg_idct_islow kernels. */
 template <typename PlaneT>
 bool
-decodePlane(PlaneT &plane, const std::array<std::uint16_t, 64> &table,
-            BitReader &reader)
+decodePlane(PlaneT &plane, int width, int height, const BlockRange &keep,
+            const std::array<std::uint16_t, 64> &table, BitReader &reader)
 {
     constexpr bool reference = std::is_same_v<PlaneT, Plane>;
-    const int bw = blocksAcross(plane.width);
-    const int bh = blocksAcross(plane.height);
+    const int bw = blocksAcross(width);
+    const int bh = blocksAcross(height);
+    const auto kept = static_cast<std::uint64_t>(keep.bx1 - keep.bx0);
     std::int32_t dc_pred = 0;
     std::vector<QuantBlock> row_blocks(static_cast<std::size_t>(bw));
     std::vector<CoeffExtent> row_extents(static_cast<std::size_t>(bw));
@@ -336,26 +382,25 @@ decodePlane(PlaneT &plane, const std::array<std::uint16_t, 64> &table,
                 (reader.bitPosition() - bits_before) / 8;
             entropy_scope.stats().items += symbols;
         }
+        if (by < keep.by0 || by >= keep.by1)
+            continue;
+        const int row = by - keep.by0;
         if constexpr (reference) {
             KernelScope dequant_scope(KernelId::DequantizeBlock);
             KernelScope idct_scope(KernelId::IdctBlock);
-            for (int bx = 0; bx < bw; ++bx) {
+            for (int bx = keep.bx0; bx < keep.bx1; ++bx) {
                 Block freq, spatial;
                 dequantize(row_blocks[static_cast<std::size_t>(bx)], table,
                            freq);
                 inverseDct(freq, spatial);
-                storeBlock(plane, bx, by, spatial);
+                storeBlock(plane, bx - keep.bx0, row, spatial);
             }
-            dequant_scope.stats().arith_ops +=
-                static_cast<std::uint64_t>(bw) * 64;
-            dequant_scope.stats().bytes_read +=
-                static_cast<std::uint64_t>(bw) * 64 * 4;
-            dequant_scope.stats().items += static_cast<std::uint64_t>(bw);
-            idct_scope.stats().arith_ops +=
-                static_cast<std::uint64_t>(bw) * 64 * 16;
-            idct_scope.stats().bytes_written +=
-                static_cast<std::uint64_t>(bw) * 64 * 4;
-            idct_scope.stats().items += static_cast<std::uint64_t>(bw);
+            dequant_scope.stats().arith_ops += kept * 64;
+            dequant_scope.stats().bytes_read += kept * 64 * 4;
+            dequant_scope.stats().items += kept;
+            idct_scope.stats().arith_ops += kept * 64 * 16;
+            idct_scope.stats().bytes_written += kept * 64 * 4;
+            idct_scope.stats().items += kept;
         } else {
             // Fused sparse dequant + IDCT. Work stats record the work
             // *actually done*: the dequantize pass multiplies only the
@@ -366,14 +411,14 @@ decodePlane(PlaneT &plane, const std::array<std::uint16_t, 64> &table,
             std::uint64_t dequant_mults = 0;
             std::uint64_t coeffs_scanned = 0;
             std::uint64_t idct_ops = 0;
-            for (int bx = 0; bx < bw; ++bx) {
+            for (int bx = keep.bx0; bx < keep.bx1; ++bx) {
                 const auto &extent =
                     row_extents[static_cast<std::size_t>(bx)];
                 Block spatial;
                 idct_ops += dequantIdctSparse(
                     row_blocks[static_cast<std::size_t>(bx)], table, extent,
                     spatial);
-                storeBlock(plane, bx, by, spatial);
+                storeBlock(plane, bx - keep.bx0, row, spatial);
                 if (extent.nonzero >= kIdctDenseCutoff) {
                     // Dense fallback dequantizes the whole block.
                     dequant_mults += 64;
@@ -387,53 +432,79 @@ decodePlane(PlaneT &plane, const std::array<std::uint16_t, 64> &table,
             }
             dequant_scope.stats().arith_ops += dequant_mults;
             dequant_scope.stats().bytes_read += coeffs_scanned * 4;
-            dequant_scope.stats().items += static_cast<std::uint64_t>(bw);
+            dequant_scope.stats().items += kept;
             idct_scope.stats().arith_ops += idct_ops;
-            idct_scope.stats().bytes_written +=
-                static_cast<std::uint64_t>(bw) * 64 * 4;
-            idct_scope.stats().items += static_cast<std::uint64_t>(bw);
+            idct_scope.stats().bytes_written += kept * 64 * 4;
+            idct_scope.stats().items += kept;
         }
     }
     return true;
 }
 
-/** Plane decode + upsample + color-convert tail, shared between the
- *  fast (PlaneI16) and reference (Plane) pipelines. */
+/** Plane decode + upsample + color-convert tail over @p window,
+ *  shared between the fast (PlaneI16) and reference (Plane)
+ *  pipelines. The fast tail transforms, upsamples and converts only
+ *  what the window needs; the reference decodes the whole frame and
+ *  crops. */
 template <typename PlaneT>
 Result<Image>
-decodeTail(const LjpgHeader &header, BitReader &reader)
+decodeTail(const LjpgHeader &header, const Rect &window, BitReader &reader)
 {
-    // Every sample is written by the block store below, so the
-    // planes can skip the zero fill (one less memset per sample).
-    PlaneT y = PlaneT::uninitialized(header.width, header.height);
+    constexpr bool reference = std::is_same_v<PlaneT, Plane>;
+    const Rect frame{0, 0, header.width, header.height};
+    const Rect luma_region = reference ? frame : window;
     const int cw = header.subsampled ? (header.width + 1) / 2 : header.width;
     const int ch =
         header.subsampled ? (header.height + 1) / 2 : header.height;
-    PlaneT cb = PlaneT::uninitialized(cw, ch);
-    PlaneT cr = PlaneT::uninitialized(cw, ch);
+    // Subsampled chroma keeps one half sample of margin around the
+    // window for the upsample's bilinear taps.
+    const Rect chroma_region =
+        reference || !header.subsampled
+            ? luma_region
+            : chromaSupport(window, header.width, header.height);
+    const BlockRange luma_keep =
+        blocksMeeting(luma_region, header.width, header.height);
+    const BlockRange chroma_keep = blocksMeeting(chroma_region, cw, ch);
+    // Every kept sample is written by the block store below, so the
+    // planes can skip the zero fill (one less memset per sample).
+    PlaneT y = planeFor<PlaneT>(luma_keep, header.width, header.height);
+    PlaneT cb = planeFor<PlaneT>(chroma_keep, cw, ch);
+    PlaneT cr = planeFor<PlaneT>(chroma_keep, cw, ch);
 
     const auto luma_table = quantTable(header.quality, /*chroma=*/false);
     const auto chroma_table = quantTable(header.quality, /*chroma=*/true);
-    if (!decodePlane(y, luma_table, reader))
+    if (!decodePlane(y, header.width, header.height, luma_keep, luma_table,
+                     reader))
         return LOTUS_ERROR(ErrorCode::kCorruptData,
                            "corrupt LJPG luma plane (bit %zu)",
                            reader.bitPosition());
     reader.alignByte();
-    if (!decodePlane(cb, chroma_table, reader))
+    if (!decodePlane(cb, cw, ch, chroma_keep, chroma_table, reader))
         return LOTUS_ERROR(ErrorCode::kCorruptData,
                            "corrupt LJPG Cb plane (bit %zu)",
                            reader.bitPosition());
     reader.alignByte();
-    if (!decodePlane(cr, chroma_table, reader))
+    if (!decodePlane(cr, cw, ch, chroma_keep, chroma_table, reader))
         return LOTUS_ERROR(ErrorCode::kCorruptData,
                            "corrupt LJPG Cr plane (bit %zu)",
                            reader.bitPosition());
 
-    if (header.subsampled) {
-        cb = upsample2x(cb, header.width, header.height);
-        cr = upsample2x(cr, header.width, header.height);
+    if constexpr (reference) {
+        if (header.subsampled) {
+            cb = upsample2x(cb, header.width, header.height);
+            cr = upsample2x(cr, header.width, header.height);
+        }
+        Image image = yccToRgb(y, cb, cr);
+        if (window.width == header.width && window.height == header.height)
+            return image;
+        return crop(image, window);
+    } else {
+        if (header.subsampled) {
+            cb = upsample2x(cb, header.width, header.height, window);
+            cr = upsample2x(cr, header.width, header.height, window);
+        }
+        return yccToRgb(y, cb, cr, window);
     }
-    return yccToRgb(y, cb, cr);
 }
 
 } // namespace
@@ -536,10 +607,11 @@ struct DecodeMetrics
     }
 };
 
-} // namespace
-
+/** tryDecode and tryDecodeWindow: @p window (nullopt = the whole
+ *  frame) is checked against the header after every header check. */
 Result<Image>
-tryDecode(const std::string &bytes, const DecodeOptions &options)
+decodeImpl(const std::string &bytes, const std::optional<Rect> &window,
+           const DecodeOptions &options)
 {
     const DecodeMetrics &decode_metrics = DecodeMetrics::instance();
     metrics::ScopedTimer decode_timer(decode_metrics.decode_ns);
@@ -559,6 +631,15 @@ tryDecode(const std::string &bytes, const DecodeOptions &options)
                            "decode cap",
                            header.width, header.height,
                            static_cast<long long>(options.max_pixels));
+    const Rect region = window.value_or(Rect{0, 0, header.width,
+                                             header.height});
+    LOTUS_ASSERT(region.x >= 0 && region.y >= 0 && region.width > 0 &&
+                     region.height > 0 &&
+                     region.x + region.width <= header.width &&
+                     region.y + region.height <= header.height,
+                 "decode window (%d,%d %dx%d) outside %dx%d frame",
+                 region.x, region.y, region.width, region.height,
+                 header.width, header.height);
     const auto *payload =
         reinterpret_cast<const std::uint8_t *>(bytes.data()) + 10;
     const std::size_t payload_size = bytes.size() - 10;
@@ -579,8 +660,23 @@ tryDecode(const std::string &bytes, const DecodeOptions &options)
     BitReader reader(options.reference ? buffered.data() : payload,
                      payload_size);
     if (options.reference)
-        return decodeTail<Plane>(header, reader);
-    return decodeTail<PlaneI16>(header, reader);
+        return decodeTail<Plane>(header, region, reader);
+    return decodeTail<PlaneI16>(header, region, reader);
+}
+
+} // namespace
+
+Result<Image>
+tryDecode(const std::string &bytes, const DecodeOptions &options)
+{
+    return decodeImpl(bytes, std::nullopt, options);
+}
+
+Result<Image>
+tryDecodeWindow(const std::string &bytes, const Rect &window,
+                const DecodeOptions &options)
+{
+    return decodeImpl(bytes, window, options);
 }
 
 Image

@@ -18,6 +18,7 @@
 #include <string>
 
 #include "common/result.h"
+#include "image/geometry.h"
 #include "image/image.h"
 
 namespace lotus::image::codec {
@@ -85,6 +86,20 @@ struct DecodeOptions
  */
 Result<Image> tryDecode(const std::string &bytes,
                         const DecodeOptions &options = {});
+
+/**
+ * Decode only @p window (frame coordinates) of an LJPG stream, e.g. a
+ * crop window drawn from tryPeekHeader's dimensions. The result is
+ * bit-identical to crop(tryDecode(bytes), window), and every stream
+ * gets the same verdict and ErrorCode as tryDecode: the entropy decode
+ * still walks every block of every plane (DC prediction chains across
+ * the plane), but the fast path dequantizes, transforms, upsamples
+ * and color-converts only the blocks and pixels the window needs. The
+ * reference mode decodes the whole frame and crops. A window outside
+ * a header that passes every check is a caller bug (fatal).
+ */
+Result<Image> tryDecodeWindow(const std::string &bytes, const Rect &window,
+                              const DecodeOptions &options = {});
 
 /** Fatal wrapper over tryDecode for trusted fixtures (benches,
  *  differential tests) where corruption would be a harness bug. */

@@ -177,19 +177,55 @@ upsample2x(const Plane &half, int width, int height)
     return full;
 }
 
+Rect
+chromaSupport(const Rect &window, int width, int height)
+{
+    // Output column x blends half columns (x - 1) / 2 and the one
+    // after it, clamped to the plane (column 0 reads column 0 alone);
+    // rows follow the same rule. So a window needs one half sample of
+    // margin before and after its own footprint.
+    const auto first = [](int pos) { return pos == 0 ? 0 : (pos - 1) / 2; };
+    const auto last = [](int pos, int extent) {
+        return std::min((extent + 1) / 2 - 1, (pos + 1) / 2);
+    };
+    const int x0 = first(window.x);
+    const int y0 = first(window.y);
+    return Rect{x0, y0, last(window.x + window.width - 1, width) - x0 + 1,
+                last(window.y + window.height - 1, height) - y0 + 1};
+}
+
 PlaneI16
 upsample2x(const PlaneI16 &half, int width, int height)
 {
+    return upsample2x(half, width, height, Rect{0, 0, width, height});
+}
+
+PlaneI16
+upsample2x(const PlaneI16 &half, int width, int height, const Rect &window)
+{
     KernelScope scope(KernelId::ChromaUpsample);
-    const int hw = half.width;
-    const int hh = half.height;
-    LOTUS_ASSERT(width >= 2 * hw - 1 && width <= 2 * hw &&
-                     height >= 2 * hh - 1 && height <= 2 * hh,
-                 "upsample2x target %dx%d does not match half plane %dx%d",
-                 width, height, hw, hh);
-    PlaneI16 full = PlaneI16::uninitialized(width, height);
-    const auto pixels =
-        static_cast<std::uint64_t>(width) * static_cast<std::uint64_t>(height);
+    const int hh = (height + 1) / 2;
+    const Rect support = chromaSupport(window, width, height);
+    LOTUS_ASSERT(half.x0 <= support.x && half.y0 <= support.y &&
+                     support.x + support.width <= half.x0 + half.width &&
+                     support.y + support.height <= half.y0 + half.height &&
+                     half.x0 + half.width <= (width + 1) / 2 &&
+                     half.y0 + half.height <= hh,
+                 "upsample2x window (%d,%d %dx%d) of %dx%d is not covered "
+                 "by half plane (%d,%d %dx%d)",
+                 window.x, window.y, window.width, window.height, width,
+                 height, half.x0, half.y0, half.width, half.height);
+    // Output column 2 * support.x + i is sample i of every row; the
+    // right frame edge of an even width takes the kernel's extra
+    // last column.
+    const int out_width = window.x + window.width == width
+                              ? width - 2 * support.x
+                              : 2 * support.width - 1;
+    PlaneI16 full = PlaneI16::uninitialized(out_width, window.height);
+    full.x0 = 2 * support.x;
+    full.y0 = window.y;
+    const auto pixels = static_cast<std::uint64_t>(out_width) *
+                        static_cast<std::uint64_t>(window.height);
     // Fast path (h2v2_fancy_upsample style): after edge clamping, the
     // 2x bilinear weights of the reference geometry (source position
     // (x - 0.5) / 2) collapse to the fixed quarter-unit pattern
@@ -199,10 +235,13 @@ upsample2x(const PlaneI16 &half, int width, int height)
     // per source gap. Identical sums (and rounding) to the direct
     // per-pixel fixed-point evaluation; the row kernel is dispatched
     // per SIMD tier (scratch is pooled, sized for vector overhang).
+    // Every output sample depends only on its own frame position, so
+    // a window's samples equal the full frame's.
     const auto &kernel = simd::kernels();
     memory::PooledArray<std::int16_t> scratch(
-        static_cast<std::size_t>(hw) + 16, /*zero=*/false);
-    for (int y = 0; y < height; ++y) {
+        static_cast<std::size_t>(support.width) + 16, /*zero=*/false);
+    const int column = support.x - half.x0;
+    for (int y = window.y; y < window.y + window.height; ++y) {
         // Vertical sources: output row 0 reads source row 0 alone;
         // odd rows 2i+1 blend rows (i, i+1) as 3:1, even rows 2i
         // blend (i, i-1) as 3:1.
@@ -215,8 +254,10 @@ upsample2x(const PlaneI16 &half, int width, int height)
             far = (y & 1) != 0 ? std::min(i + 1, hh - 1) : i - 1;
             wn = 3;
         }
-        kernel.upsample_h2v2_row(half.row(near), half.row(far), wn, hw,
-                                 width, scratch.data(), full.row(y));
+        kernel.upsample_h2v2_row(half.row(near - half.y0) + column,
+                                 half.row(far - half.y0) + column, wn,
+                                 support.width, out_width, scratch.data(),
+                                 full.row(y - window.y));
     }
     scope.stats().bytes_read += pixels * 2;
     scope.stats().bytes_written += pixels * 2;
@@ -266,17 +307,35 @@ yccToRgb(const Plane &y, const Plane &cb, const Plane &cr)
 Image
 yccToRgb(const PlaneI16 &y, const PlaneI16 &cb, const PlaneI16 &cr)
 {
+    return yccToRgb(y, cb, cr, Rect{0, 0, y.width, y.height});
+}
+
+Image
+yccToRgb(const PlaneI16 &y, const PlaneI16 &cb, const PlaneI16 &cr,
+         const Rect &window)
+{
+    for (const PlaneI16 *plane : {&y, &cb, &cr})
+        LOTUS_ASSERT(plane->x0 <= window.x && plane->y0 <= window.y &&
+                         window.x + window.width <=
+                             plane->x0 + plane->width &&
+                         window.y + window.height <=
+                             plane->y0 + plane->height,
+                     "yccToRgb window (%d,%d %dx%d) outside a plane",
+                     window.x, window.y, window.width, window.height);
     KernelScope outer(KernelId::DecompressOnepass);
-    const int w = y.width;
-    const int h = y.height;
+    const int w = window.width;
+    const int h = window.height;
     Image out = Image::uninitialized(w, h);
     const auto &kernel = simd::kernels();
+    const auto at = [&window](const PlaneI16 &plane, int row) {
+        return plane.row(window.y + row - plane.y0) + window.x - plane.x0;
+    };
     for (int row = 0; row < h; ++row) {
         KernelScope inner(KernelId::YccToRgb);
         // Luma feeds the 16.16 accumulator exactly (a 1/16th-step
         // sample times 2^12 is the value in 16.16); chroma indexes
         // the shared half-step tables. Dispatched per SIMD tier.
-        kernel.ycc_rgb_row(y.row(row), cb.row(row), cr.row(row),
+        kernel.ycc_rgb_row(at(y, row), at(cb, row), at(cr, row),
                            out.row(row), w);
         const auto row_pixels = static_cast<std::uint64_t>(w);
         inner.stats().bytes_read += row_pixels * 6;

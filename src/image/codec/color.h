@@ -8,6 +8,7 @@
 
 #include <cstdint>
 
+#include "image/geometry.h"
 #include "image/image.h"
 #include "memory/buffer_pool.h"
 
@@ -69,6 +70,10 @@ struct PlaneI16
 {
     int width = 0;
     int height = 0;
+    /** Frame position of sample (0, 0). A plane decoded for a crop
+     *  window holds only the part of its frame the window needs. */
+    int x0 = 0;
+    int y0 = 0;
     memory::PooledArray<std::int16_t> samples;
 
     PlaneI16() = default;
@@ -131,6 +136,20 @@ Plane upsample2x(const Plane &half, int width, int height);
 PlaneI16 upsample2x(const PlaneI16 &half, int width, int height);
 
 /**
+ * The fast upsample over @p window of the (width, height) frame only.
+ * @p half may hold just the chroma samples the window reads (the
+ * window's footprint plus one sample of margin, see chromaSupport).
+ * The result's samples inside the window equal those of the
+ * full-frame upsample; its origin marks where it sits in the frame.
+ */
+PlaneI16 upsample2x(const PlaneI16 &half, int width, int height,
+                    const Rect &window);
+
+/** The half-resolution chroma samples the h2v2 upsample reads to
+ *  produce @p window of a (width, height) frame. */
+Rect chromaSupport(const Rect &window, int width, int height);
+
+/**
  * Recombine Y/Cb/Cr planes (all full resolution) into an RGB image:
  * the retained per-pixel float matrix reference. The row-assembly
  * loop is annotated as decompress_onepass and the per-row color math
@@ -146,6 +165,11 @@ Image yccToRgb(const Plane &y, const Plane &cb, const Plane &cr);
  * reference. Same kernel annotations as the reference overload.
  */
 Image yccToRgb(const PlaneI16 &y, const PlaneI16 &cb, const PlaneI16 &cr);
+
+/** The fast YCC->RGB over @p window only (frame coordinates); each
+ *  plane may hold any part of the frame that covers the window. */
+Image yccToRgb(const PlaneI16 &y, const PlaneI16 &cb, const PlaneI16 &cr,
+               const Rect &window);
 
 } // namespace lotus::image::codec
 

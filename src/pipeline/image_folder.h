@@ -6,6 +6,9 @@
  * get() performs the Loader operation (blob read + LJPG decode),
  * logged as a [T3] op named "Loader" exactly like the paper's
  * instrumented torchvision.datasets, then applies the Compose chain.
+ * When the chain's first op crops first (Transform::drawCropWindow),
+ * the uncached get() draws its window from the LJPG header and decodes
+ * only that window; the sample is bit-identical to the unfused one.
  */
 
 #ifndef LOTUS_PIPELINE_IMAGE_FOLDER_H
@@ -55,6 +58,11 @@ class ImageFolderDataset : public Dataset
     const Compose &transforms() const { return *transforms_; }
 
   private:
+    /** The Loader op: store read + decode, under its [T3] span. With
+     *  @p fuse_crop and a crop-first op 0, decodes only its window. */
+    Result<Sample> load(std::int64_t index, PipelineContext &ctx,
+                        bool fuse_crop) const;
+
     std::shared_ptr<const BlobStore> store_;
     std::shared_ptr<const Compose> transforms_;
     std::int64_t num_classes_;

@@ -29,6 +29,10 @@ struct Sample
     /** Tensor-domain payload. */
     tensor::Tensor data;
     std::int64_t label = 0;
+    /** The Loader decoded only the window the first transform's
+     *  drawCropWindow() drew; that transform's apply() consumes the
+     *  flag instead of drawing and cropping again. */
+    bool pre_cropped = false;
 
     bool hasImage() const { return image.has_value(); }
 };

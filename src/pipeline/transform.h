@@ -10,9 +10,11 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/rng.h"
+#include "image/geometry.h"
 #include "pipeline/sample.h"
 
 namespace lotus::pipeline {
@@ -91,6 +93,26 @@ class Transform
      * Only consulted for deterministic() transforms.
      */
     virtual std::uint64_t configHash() const { return 0; }
+
+    /**
+     * Crop-first fusion. A transform whose apply() starts by drawing
+     * a crop window from the input image's size alone, and then copies
+     * that window out, returns the window of a @p width x @p height
+     * image here, drawn with exactly the draws apply() makes, in the
+     * same order. The Loader may then decode only that window and pass
+     * apply() the sample with Sample::pre_cropped set; apply() must
+     * then skip its draws and its crop. Defaults to nullopt, "not
+     * fusable", with no draw: a decorator that does not forward this
+     * hook runs the unfused path, which gives the same sample.
+     */
+    virtual std::optional<image::Rect>
+    drawCropWindow(int width, int height, Rng &rng) const
+    {
+        (void)width;
+        (void)height;
+        (void)rng;
+        return std::nullopt;
+    }
 };
 
 using TransformPtr = std::unique_ptr<Transform>;

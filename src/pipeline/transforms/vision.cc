@@ -20,16 +20,10 @@ RandomResizedCrop::RandomResizedCrop(Params params)
                  params_.ratio_min <= params_.ratio_max);
 }
 
-void
-RandomResizedCrop::apply(Sample &sample, Rng &rng) const
+image::Rect
+RandomResizedCrop::drawRegion(int width, int height, Rng &rng) const
 {
-    LOTUS_ASSERT(sample.hasImage(), "RandomResizedCrop needs an image");
-    const image::Image &input = *sample.image;
-    const double area =
-        static_cast<double>(input.width()) * input.height();
-
-    image::Rect region{0, 0, input.width(), input.height()};
-    bool found = false;
+    const double area = static_cast<double>(width) * height;
     for (int attempt = 0; attempt < params_.max_attempts; ++attempt) {
         const double target_area =
             area * rng.uniform(params_.scale_min, params_.scale_max);
@@ -40,37 +34,48 @@ RandomResizedCrop::apply(Sample &sample, Rng &rng) const
             std::lround(std::sqrt(target_area * ratio)));
         const int h = static_cast<int>(
             std::lround(std::sqrt(target_area / ratio)));
-        if (w <= 0 || h <= 0 || w > input.width() || h > input.height())
+        if (w <= 0 || h <= 0 || w > width || h > height)
             continue;
-        region.x = static_cast<int>(
-            rng.uniformInt(0, input.width() - w));
-        region.y = static_cast<int>(
-            rng.uniformInt(0, input.height() - h));
-        region.width = w;
-        region.height = h;
-        found = true;
-        break;
+        const int x = static_cast<int>(rng.uniformInt(0, width - w));
+        const int y = static_cast<int>(rng.uniformInt(0, height - h));
+        return image::Rect{x, y, w, h};
     }
-    if (!found) {
-        // Torchvision fallback: central crop at a valid ratio.
-        const double in_ratio =
-            static_cast<double>(input.width()) / input.height();
-        int w, h;
-        if (in_ratio < params_.ratio_min) {
-            w = input.width();
-            h = static_cast<int>(std::lround(w / params_.ratio_min));
-        } else if (in_ratio > params_.ratio_max) {
-            h = input.height();
-            w = static_cast<int>(std::lround(h * params_.ratio_max));
-        } else {
-            w = input.width();
-            h = input.height();
-        }
-        region = image::Rect{(input.width() - w) / 2,
-                             (input.height() - h) / 2, w, h};
+    // Torchvision fallback: central crop at a valid ratio.
+    const double in_ratio = static_cast<double>(width) / height;
+    int w, h;
+    if (in_ratio < params_.ratio_min) {
+        w = width;
+        h = static_cast<int>(std::lround(w / params_.ratio_min));
+    } else if (in_ratio > params_.ratio_max) {
+        h = height;
+        w = static_cast<int>(std::lround(h * params_.ratio_max));
+    } else {
+        w = width;
+        h = height;
     }
+    return image::Rect{(width - w) / 2, (height - h) / 2, w, h};
+}
 
-    const image::Image cropped = image::crop(input, region);
+std::optional<image::Rect>
+RandomResizedCrop::drawCropWindow(int width, int height, Rng &rng) const
+{
+    return drawRegion(width, height, rng);
+}
+
+void
+RandomResizedCrop::apply(Sample &sample, Rng &rng) const
+{
+    LOTUS_ASSERT(sample.hasImage(), "RandomResizedCrop needs an image");
+    if (sample.pre_cropped) {
+        // The Loader decoded just the window drawCropWindow() drew.
+        sample.pre_cropped = false;
+        sample.image =
+            image::resize(*sample.image, params_.size, params_.size);
+        return;
+    }
+    const image::Image &input = *sample.image;
+    const image::Image cropped = image::crop(
+        input, drawRegion(input.width(), input.height(), rng));
     sample.image = image::resize(cropped, params_.size, params_.size);
 }
 

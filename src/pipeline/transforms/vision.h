@@ -34,8 +34,14 @@ class RandomResizedCrop : public NamedTransform
     explicit RandomResizedCrop(Params params);
 
     void apply(Sample &sample, Rng &rng) const override;
+    std::optional<image::Rect> drawCropWindow(int width, int height,
+                                              Rng &rng) const override;
 
   private:
+    /** The crop region of a width x height input (torchvision's
+     *  get_params): every draw apply() makes. */
+    image::Rect drawRegion(int width, int height, Rng &rng) const;
+
     Params params_;
 };
 

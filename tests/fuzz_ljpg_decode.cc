@@ -15,7 +15,11 @@
  *  - decode_mcu's WorkStats items (symbols) and bytes_read equal the
  *    walker's counts over the block rows it completed;
  *  - an accepted image has the header's dimensions;
- *  - the reference decode reaches the same verdict and counts.
+ *  - the reference decode reaches the same verdict and counts;
+ *  - codec::tryDecodeWindow over a seeded window (the full frame, a
+ *    single pixel, a strip along an edge, odd offsets) reaches the same
+ *    verdict, ErrorCode and decode_mcu counts, and on acceptance its
+ *    pixels equal the full decode's cropped to the window.
  *
  *   fuzz_ljpg_decode --iterations 20000 --seed 1 --corpus tests/corpus/ljpg
  *
@@ -32,6 +36,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,6 +44,7 @@
 #include "common/rng.h"
 #include "hwcount/registry.h"
 #include "image/codec/codec.h"
+#include "image/geometry.h"
 #include "image/synth.h"
 
 namespace {
@@ -221,26 +227,88 @@ decodeMcuStats()
         .stats;
 }
 
-/** The decoder's side of a Verdict. */
+/** The decoder's side of a Verdict: the whole frame, or only
+ *  @p window when given. The decoded image goes to @p image. */
 Verdict
-decodeVerdict(const std::string &blob, bool reference)
+decodeVerdict(const std::string &blob, bool reference,
+              const std::optional<image::Rect> &window, image::Image &image)
 {
+    const image::codec::DecodeOptions options{.reference = reference,
+                                              .max_pixels = kMaxPixels};
     const hwcount::WorkStats before = decodeMcuStats();
-    Result<image::Image> decoded = image::codec::tryDecode(
-        blob, image::codec::DecodeOptions{.reference = reference,
-                                          .max_pixels = kMaxPixels});
+    Result<image::Image> decoded =
+        window.has_value()
+            ? image::codec::tryDecodeWindow(blob, *window, options)
+            : image::codec::tryDecode(blob, options);
     const hwcount::WorkStats after = decodeMcuStats();
     Verdict verdict;
     verdict.ok = decoded.ok();
     if (decoded.ok()) {
-        verdict.width = decoded.value().width();
-        verdict.height = decoded.value().height();
+        image = decoded.take();
+        verdict.width = image.width();
+        verdict.height = image.height();
     } else {
         verdict.code = decoded.error().code;
     }
     verdict.symbols = after.items - before.items;
     verdict.bytes_read = after.bytes_read - before.bytes_read;
     return verdict;
+}
+
+/** A window of a width x height frame: the whole frame, one pixel
+ *  (often a corner), a strip along one edge, or a random window with
+ *  odd offsets. */
+image::Rect
+pickWindow(Rng &rng, int width, int height)
+{
+    const auto pick = [&rng](int extent) {
+        return static_cast<int>(rng.nextBelow(
+            static_cast<std::uint64_t>(extent)));
+    };
+    switch (rng.nextBelow(5)) {
+    case 0: return image::Rect{0, 0, width, height};
+    case 1: {
+        const bool corner = rng.chance(0.5);
+        const int x = corner ? (rng.chance(0.5) ? 0 : width - 1) : pick(width);
+        const int y =
+            corner ? (rng.chance(0.5) ? 0 : height - 1) : pick(height);
+        return image::Rect{x, y, 1, 1};
+    }
+    case 2: {
+        // A strip along the left, right, top or bottom edge.
+        const int w = 1 + pick(width);
+        const int h = 1 + pick(height);
+        switch (rng.nextBelow(4)) {
+        case 0: return image::Rect{0, pick(height - h + 1), w, h};
+        case 1: return image::Rect{width - w, pick(height - h + 1), w, h};
+        case 2: return image::Rect{pick(width - w + 1), 0, w, h};
+        default: return image::Rect{pick(width - w + 1), height - h, w, h};
+        }
+    }
+    case 3: {
+        // Odd offsets where the frame allows them.
+        const int x = width > 1 ? (pick(width - 1) | 1) % width : 0;
+        const int y = height > 1 ? (pick(height - 1) | 1) % height : 0;
+        return image::Rect{x, y, 1 + pick(width - x), 1 + pick(height - y)};
+    }
+    default: {
+        const int w = 1 + pick(width);
+        const int h = 1 + pick(height);
+        return image::Rect{pick(width - w + 1), pick(height - h + 1), w, h};
+    }
+    }
+}
+
+/** True when the window decode's pixels are the full decode's
+ *  cropped to @p window. */
+bool
+samePixels(const image::Image &part, const image::Image &full,
+           const image::Rect &window)
+{
+    if (part.width() != window.width || part.height() != window.height)
+        return false;
+    const image::Image cropped = image::crop(full, window);
+    return std::memcmp(part.raw(), cropped.raw(), part.byteSize()) == 0;
 }
 
 void
@@ -270,13 +338,30 @@ reportFinding(const std::string &blob, const char *what,
 
 /** Check every property on one stream; false on a finding. */
 bool
-check(const std::string &blob, bool with_reference, int &accepted)
+check(const std::string &blob, bool with_reference, Rng &window_rng,
+      int &accepted)
 {
     const Verdict expected = oracle(blob);
-    for (const bool reference : {false, true}) {
-        if (reference && !with_reference)
-            break;
-        const Verdict actual = decodeVerdict(blob, reference);
+    // The window: drawn from the header when it parses (past the
+    // header checks, a window outside the frame is a caller bug).
+    image::Rect window{0, 0, 1, 1};
+    if (Result<image::codec::LjpgHeader> header =
+            image::codec::tryPeekHeader(blob);
+        header.ok())
+        window = pickWindow(window_rng, header.value().width,
+                            header.value().height);
+    image::Image full;
+    enum class Mode { kFast, kReference, kWindow };
+    for (const Mode mode : {Mode::kFast, Mode::kReference, Mode::kWindow}) {
+        if (mode == Mode::kReference && !with_reference)
+            continue;
+        image::Image image;
+        const Verdict actual = decodeVerdict(
+            blob, mode == Mode::kReference,
+            mode == Mode::kWindow ? std::optional<image::Rect>(window)
+                                  : std::nullopt,
+            mode == Mode::kFast ? full : image);
+        const bool whole = mode != Mode::kWindow;
         const char *what = nullptr;
         if (actual.ok != expected.ok)
             what = "verdict differs from the oracle";
@@ -286,13 +371,22 @@ check(const std::string &blob, bool with_reference, int &accepted)
             what = "decode_mcu items differ from the oracle";
         else if (actual.bytes_read != expected.bytes_read)
             what = "decode_mcu bytes_read differs from the oracle";
-        else if (actual.ok && (actual.width != expected.width ||
-                               actual.height != expected.height))
+        else if (whole && actual.ok &&
+                 (actual.width != expected.width ||
+                  actual.height != expected.height))
             what = "accepted image does not have the header's dimensions";
+        else if (!whole && actual.ok && !samePixels(image, full, window))
+            what = "window decode differs from the cropped full decode";
         if (what != nullptr) {
             reportFinding(blob, what, expected, actual);
-            std::fprintf(stderr, "  (%s decode)\n",
-                         reference ? "reference" : "fast");
+            if (whole)
+                std::fprintf(stderr, "  (%s decode)\n",
+                             mode == Mode::kReference ? "reference"
+                                                      : "fast");
+            else
+                std::fprintf(stderr, "  (window decode, %d,%d %dx%d)\n",
+                             window.x, window.y, window.width,
+                             window.height);
             return false;
         }
     }
@@ -502,8 +596,11 @@ main(int argc, char **argv)
     std::vector<std::string> corpus;
     if (!corpus_dir.empty())
         corpus = readCorpus(corpus_dir);
+    // Windows draw from their own stream, so the mutation stream stays
+    // the one a seed has always produced.
+    Rng window_rng(seed ^ 0x57494E444F57ull);
     for (const std::string &blob : corpus)
-        if (!check(blob, /*with_reference=*/true, accepted))
+        if (!check(blob, /*with_reference=*/true, window_rng, accepted))
             return 1;
 
     std::vector<std::string> pool = encodedSeeds();
@@ -513,7 +610,8 @@ main(int argc, char **argv)
         std::string blob = pool[rng.nextBelow(pool.size())];
         if (!rng.chance(1.0 / 32.0))
             mutate(rng, blob);
-        if (!check(blob, /*with_reference=*/i % 8 == 0, accepted))
+        if (!check(blob, /*with_reference=*/i % 8 == 0, window_rng,
+                   accepted))
             return 1;
     }
     std::printf("fuzz_ljpg_decode: %zu corpus + %lld mutated streams "

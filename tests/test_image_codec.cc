@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "common/rng.h"
@@ -15,6 +16,7 @@
 #include "image/codec/codec.h"
 #include "image/codec/color.h"
 #include "image/codec/dct.h"
+#include "image/geometry.h"
 #include "image/synth.h"
 
 namespace lotus::image::codec {
@@ -681,6 +683,188 @@ TEST(FastDecode, ZeroCopyDecodeIsDeterministic)
     const Image first = decode(blob);
     const Image second = decode(blob);
     EXPECT_EQ(maxChannelDiff(first, second), 0);
+}
+
+/** True when @p a and @p b have the same size and bytes. */
+bool
+samePixels(const Image &a, const Image &b)
+{
+    if (!a.sameSize(b))
+        return false;
+    for (int y = 0; y < a.height(); ++y) {
+        if (std::memcmp(a.row(y), b.row(y),
+                        static_cast<std::size_t>(a.width()) * 3) != 0)
+            return false;
+    }
+    return true;
+}
+
+/** Windows of a width x height frame: the whole frame, every corner
+ *  pixel, a strip along each edge, odd offsets, and seeded random
+ *  windows. */
+std::vector<Rect>
+testWindows(int width, int height, Rng &rng)
+{
+    std::vector<Rect> windows = {
+        {0, 0, width, height},
+        {0, 0, 1, 1},
+        {width - 1, 0, 1, 1},
+        {0, height - 1, 1, 1},
+        {width - 1, height - 1, 1, 1},
+        {0, 0, width, 1},
+        {0, height - 1, width, 1},
+        {0, 0, 1, height},
+        {width - 1, 0, 1, height},
+    };
+    if (width > 4 && height > 4) {
+        windows.push_back({1, 1, width - 2, height - 2});
+        windows.push_back({3, 1, width / 2, height / 2});
+        windows.push_back({width / 2 | 1, height / 2 | 1,
+                           width - (width / 2 | 1),
+                           height - (height / 2 | 1)});
+    }
+    for (int i = 0; i < 24; ++i) {
+        const int w = static_cast<int>(rng.uniformInt(1, width));
+        const int h = static_cast<int>(rng.uniformInt(1, height));
+        windows.push_back({static_cast<int>(rng.uniformInt(0, width - w)),
+                           static_cast<int>(rng.uniformInt(0, height - h)),
+                           w, h});
+    }
+    return windows;
+}
+
+/** Window decode vs decode-then-crop over sizes that put the frame's
+ *  right and bottom edges at every phase of the 8x8 block and 2x2
+ *  chroma grids, with subsampled and full chroma. */
+TEST(WindowDecode, MatchesCropOfFullDecode)
+{
+    struct Shape
+    {
+        int width;
+        int height;
+    };
+    const Shape shapes[] = {{1, 1}, {1, 9}, {9, 1},   {2, 2},
+                            {17, 9}, {37, 29}, {40, 32}, {211, 173}};
+    Rng rng(77);
+    for (const Shape shape : shapes) {
+        for (const bool subsample : {true, false}) {
+            const Image img = synthesize(rng, shape.width, shape.height,
+                                         SynthOptions{0.5, 3});
+            const std::string blob =
+                encode(img, EncodeOptions{75, subsample});
+            const Image full = decode(blob);
+            for (const Rect &window :
+                 testWindows(shape.width, shape.height, rng)) {
+                Result<Image> part = tryDecodeWindow(blob, window);
+                ASSERT_TRUE(part.ok());
+                EXPECT_TRUE(samePixels(part.value(), crop(full, window)))
+                    << shape.width << "x" << shape.height
+                    << " subsample=" << subsample << " window ("
+                    << window.x << "," << window.y << " " << window.width
+                    << "x" << window.height << ")";
+            }
+            // The reference mode decodes the frame and crops.
+            const Rect window{shape.width / 2, shape.height / 2,
+                              (shape.width + 1) / 2,
+                              (shape.height + 1) / 2};
+            const Image reference =
+                decode(blob, DecodeOptions{.reference = true});
+            Result<Image> reference_part = tryDecodeWindow(
+                blob, window, DecodeOptions{.reference = true});
+            ASSERT_TRUE(reference_part.ok());
+            EXPECT_TRUE(
+                samePixels(reference_part.value(), crop(reference, window)));
+        }
+    }
+}
+
+TEST(WindowDecode, RejectsWhatTheFullDecodeRejects)
+{
+    Rng rng(78);
+    const Image img = synthesize(rng, 48, 40);
+    const std::string blob = encode(img, EncodeOptions{75, true});
+    const Rect window{5, 7, 20, 11};
+    for (const std::size_t keep : {std::size_t(4), std::size_t(10),
+                                   blob.size() / 3, blob.size() - 1}) {
+        const std::string cut = blob.substr(0, keep);
+        Result<Image> full = tryDecode(cut);
+        Result<Image> part = tryDecodeWindow(cut, window);
+        ASSERT_FALSE(full.ok());
+        ASSERT_FALSE(part.ok());
+        EXPECT_EQ(part.error().code, full.error().code);
+        EXPECT_EQ(part.error().message, full.error().message);
+    }
+}
+
+/** Blocks of an extent-long axis that meet [first, first + length). */
+std::uint64_t
+blocksMeeting(int first, int length)
+{
+    return static_cast<std::uint64_t>((first + length + 7) / 8 - first / 8);
+}
+
+/** The half-resolution span the h2v2 upsample reads for output span
+ *  [first, first + length) of an extent-long axis: each output sample
+ *  blends half samples (x - 1) / 2 and (x + 1) / 2, clamped. */
+std::pair<int, int>
+chromaSpan(int first, int length, int extent)
+{
+    const int lo = first == 0 ? 0 : (first - 1) / 2;
+    const int hi = std::min((extent + 1) / 2 - 1, (first + length) / 2);
+    return {lo, hi - lo + 1};
+}
+
+TEST(WindowDecode, WorkStatsCountTheWindowsWork)
+{
+    Rng rng(79);
+    for (const bool subsample : {true, false}) {
+        const int width = 211;
+        const int height = 173;
+        const Image img =
+            synthesize(rng, width, height, SynthOptions{0.5, 3});
+        const std::string blob = encode(img, EncodeOptions{75, subsample});
+        const hwcount::WorkStats mcu_before =
+            kernelStats(hwcount::KernelId::DecodeMcu);
+        decode(blob);
+        const std::uint64_t full_symbols =
+            kernelStats(hwcount::KernelId::DecodeMcu).items -
+            mcu_before.items;
+        for (const Rect &window :
+             {Rect{0, 0, width, height}, Rect{0, 0, 1, 1},
+              Rect{width - 1, height - 1, 1, 1}, Rect{9, 15, 100, 61},
+              Rect{17, 1, 1, height - 1}, Rect{8, 8, 16, 16}}) {
+            const hwcount::WorkStats mcu =
+                kernelStats(hwcount::KernelId::DecodeMcu);
+            const hwcount::WorkStats idct =
+                kernelStats(hwcount::KernelId::IdctBlock);
+            const hwcount::WorkStats color =
+                kernelStats(hwcount::KernelId::YccToRgb);
+            ASSERT_TRUE(tryDecodeWindow(blob, window).ok());
+            const std::uint64_t luma =
+                blocksMeeting(window.x, window.width) *
+                blocksMeeting(window.y, window.height);
+            std::uint64_t chroma = luma;
+            if (subsample) {
+                const auto [cx, cw] =
+                    chromaSpan(window.x, window.width, width);
+                const auto [cy, ch] =
+                    chromaSpan(window.y, window.height, height);
+                chroma = blocksMeeting(cx, cw) * blocksMeeting(cy, ch);
+            }
+            EXPECT_EQ(kernelStats(hwcount::KernelId::DecodeMcu).items -
+                          mcu.items,
+                      full_symbols);
+            EXPECT_EQ(kernelStats(hwcount::KernelId::IdctBlock).items -
+                          idct.items,
+                      luma + 2 * chroma)
+                << "window (" << window.x << "," << window.y << " "
+                << window.width << "x" << window.height << ")";
+            EXPECT_EQ(kernelStats(hwcount::KernelId::YccToRgb).items -
+                          color.items,
+                      static_cast<std::uint64_t>(window.width) *
+                          static_cast<std::uint64_t>(window.height));
+        }
+    }
 }
 
 double

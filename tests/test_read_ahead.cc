@@ -76,6 +76,25 @@ sequentialPlan(int count)
     return plan;
 }
 
+/** Wait until the issuers have read @p count blobs, judged by the
+ *  issued counter (metrics must be enabled). Polls against a long
+ *  deadline, so the outcome never depends on how fast the I/O threads
+ *  get scheduled. */
+void
+waitUntilIssued(std::uint64_t count)
+{
+    const metrics::Counter *issued =
+        metrics::MetricsRegistry::instance().counter(
+            dataflow::kReadAheadIssuedMetric);
+    const TimeNs deadline = SteadyClock::instance().now() + 30 * kSecond;
+    while (issued->value() < count) {
+        ASSERT_LT(SteadyClock::instance().now(), deadline)
+            << "read-ahead issued " << issued->value() << " of " << count
+            << " reads";
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+}
+
 TEST(ReadAhead, ClaimsServePrefetchedBytesInAnyOrder)
 {
     auto store = makePlainStore(24);
@@ -172,9 +191,11 @@ TEST(ReadAhead, DepthBoundsOutstandingPrefetches)
     ReadAhead engine(store.get(), options);
     engine.startEpoch(sequentialPlan(64), nullptr);
 
-    // The instant store fills the window immediately; with no claims
-    // the issuers stall at exactly `depth` outstanding blobs.
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    // The instant store fills the window; with no claims the issuers
+    // stall at exactly `depth` outstanding blobs. The in-flight gauge
+    // counts an entry from before its read, so once `depth` reads are
+    // issued it reads `depth`.
+    waitUntilIssued(4);
     EXPECT_EQ(registry.gauge(dataflow::kReadAheadInFlightMetric)->value(),
               4);
     EXPECT_EQ(registry.gauge(dataflow::kReadAheadDepthMetric)->value(), 4);
@@ -254,6 +275,8 @@ TEST(ReadAhead, CancelWakesBlockedClaimsAsMisses)
 
 TEST(ReadAhead, PrefetchedErrorsAreDeliveredOnClaim)
 {
+    metrics::ScopedEnable enable;
+    metrics::MetricsRegistry::instance().reset();
     auto faulty = std::make_shared<FaultyStore>(makePlainStore(8),
                                                 FaultyStoreOptions{});
     faulty->inject(3, FaultyStore::Fault::kIoError);
@@ -262,8 +285,8 @@ TEST(ReadAhead, PrefetchedErrorsAreDeliveredOnClaim)
     options.io_threads = 1;
     ReadAhead engine(faulty.get(), options);
     engine.startEpoch(sequentialPlan(8), nullptr);
-    // Instant store: the whole window is ready after a short settle.
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    // Instant store: the whole window is read, so both claims hit.
+    waitUntilIssued(8);
 
     auto good = engine.claim(2);
     ASSERT_TRUE(good.has_value());
@@ -272,6 +295,7 @@ TEST(ReadAhead, PrefetchedErrorsAreDeliveredOnClaim)
     ASSERT_TRUE(bad.has_value());
     ASSERT_FALSE(bad->ok());
     EXPECT_EQ(bad->error().code, ErrorCode::kIoError);
+    metrics::MetricsRegistry::instance().reset();
 }
 
 TEST(ReadAhead, ValidatesOptionsFatally)

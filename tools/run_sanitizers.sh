@@ -33,9 +33,10 @@ BUILD_DIR="${BUILD_DIR:-${REPO_ROOT}/build-asan}"
 # (per-epoch fleet teardown with builds in flight), and
 # test_task_engine sorts the victim order while workers charge
 # service time. test_integration runs round-robin loaders end to end
-# (pinned submissions on the engine, per-epoch fleet teardown), and
-# test_metrics drives the loader and engine telemetry series.
-ASAN_TESTS='test_cache|test_fault_injection|test_image_codec|test_dataflow|test_pipeline|test_hwcount|test_trace|test_remote_store|test_read_ahead|test_tuner|test_service$|test_work_stealing|test_task_engine|test_integration|test_metrics|fuzz_ljpg_decode'
+# (pinned submissions on the engine, per-epoch fleet teardown),
+# test_metrics drives the loader and engine telemetry series, and
+# test_crop_fusion runs window decodes of corrupt blobs on every engine.
+ASAN_TESTS='test_cache|test_fault_injection|test_image_codec|test_dataflow|test_pipeline|test_hwcount|test_trace|test_remote_store|test_read_ahead|test_tuner|test_service$|test_work_stealing|test_task_engine|test_integration|test_metrics|fuzz_ljpg_decode|test_crop_fusion'
 
 cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" \
     -DLOTUS_SANITIZE=address \
@@ -45,7 +46,8 @@ cmake --build "${BUILD_DIR}" -j "$(nproc)" \
              test_dataflow test_pipeline test_hwcount test_trace \
              test_remote_store test_read_ahead test_tuner \
              test_service test_work_stealing test_task_engine \
-             test_integration test_metrics fuzz_ljpg_decode
+             test_integration test_metrics fuzz_ljpg_decode \
+             test_crop_fusion
 
 ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \

@@ -27,8 +27,9 @@ BUILD_DIR="${BUILD_DIR:-${REPO_ROOT}/build-tsan}"
 # all race client threads against fleet workers. test_task_engine
 # takes the victim order while other threads charge service time.
 # test_integration runs 2-worker round-robin loaders end to end, i.e.
-# pinned whole-batch submissions on the task engine.
-TSAN_TESTS='test_metrics|test_dataflow|test_cache|test_work_stealing|test_fault_injection|test_trace|test_pipeline|test_buffer_pool|test_hwcount|test_remote_store|test_read_ahead|test_tuner|test_service$|test_task_engine|test_integration'
+# pinned whole-batch submissions on the task engine. test_crop_fusion
+# runs crop-aware decode on every engine and a service client.
+TSAN_TESTS='test_metrics|test_dataflow|test_cache|test_work_stealing|test_fault_injection|test_trace|test_pipeline|test_buffer_pool|test_hwcount|test_remote_store|test_read_ahead|test_tuner|test_service$|test_task_engine|test_integration|test_crop_fusion'
 
 cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" \
     -DLOTUS_SANITIZE=thread \
@@ -38,7 +39,8 @@ cmake --build "${BUILD_DIR}" -j "$(nproc)" \
              test_work_stealing test_fault_injection test_trace \
              test_pipeline test_buffer_pool test_hwcount \
              test_remote_store test_read_ahead test_tuner \
-             test_service test_task_engine test_integration
+             test_service test_task_engine test_integration \
+             test_crop_fusion
 
 TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     ctest --test-dir "${BUILD_DIR}" --output-on-failure \
