@@ -127,12 +127,11 @@ buildMapping()
     mapper.addProfile(runner.profileOp("RandomHorizontalFlip", [] {
         image::flipHorizontal(img);
     }));
-    static const tensor::Tensor hwc = img.toTensorHwc();
     mapper.addProfile(runner.profileOp("ToTensor", [] {
-        tensor::castU8ToF32(tensor::hwcToChw(hwc));
+        tensor::rgbToChwF32(img.raw(), img.height(), img.width());
     }));
     static const tensor::Tensor chw_f =
-        tensor::castU8ToF32(tensor::hwcToChw(hwc));
+        tensor::rgbToChwF32(img.raw(), img.height(), img.width());
     mapper.addProfile(runner.profileOp("Normalize", [] {
         tensor::Tensor copy = chw_f.clone();
         tensor::normalizeChannels(copy, {0.5f, 0.5f, 0.5f},

@@ -15,6 +15,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -139,9 +140,8 @@ BM_ToTensorPath(benchmark::State &state)
     Rng rng(4);
     const auto img = image::synthesize(rng, 224, 224);
     for (auto _ : state) {
-        const auto hwc = img.toTensorHwc();
         benchmark::DoNotOptimize(
-            tensor::castU8ToF32(tensor::hwcToChw(hwc)));
+            tensor::rgbToChwF32(img.raw(), img.height(), img.width()));
     }
     state.SetItemsProcessed(state.iterations());
 }
@@ -526,17 +526,36 @@ runJsonMode(const char *path)
 
     // Tensor-side hot kernels (ToTensor / Normalize on a 3x224x224
     // CHW sample), plus their scalar-tier reference.
+    double scalar_to_tensor_ns = 0.0;
+    double active_to_tensor_ns = 0.0;
     double scalar_normalize_ns = 0.0;
     double active_normalize_ns = 0.0;
     {
         Rng rng(45);
         const auto img = image::synthesize(rng, 224, 224);
-        const auto chw = tensor::hwcToChw(img.toTensorHwc());
-        const auto bytes = static_cast<std::uint64_t>(chw.byteSize());
-        cases.push_back(measureCase("cast_u8_to_f32_224", bytes, [&chw] {
-            tensor::castU8ToF32(chw);
+        const auto bytes = static_cast<std::uint64_t>(img.byteSize());
+        const auto to_tensor = [&img] {
+            tensor::rgbToChwF32(img.raw(), img.height(), img.width());
+        };
+        const auto active_case =
+            measureCase("to_tensor_224", bytes, to_tensor);
+        cases.push_back(active_case);
+        active_to_tensor_ns = active_case.ns_per_op;
+        {
+            simd::ScopedTier scoped(simd::Tier::Scalar);
+            const auto scalar_case =
+                measureCase("to_tensor_224_scalar", bytes, to_tensor);
+            cases.push_back(scalar_case);
+            scalar_to_tensor_ns = scalar_case.ns_per_op;
+        }
+        // The IS Cast op's kernel, over the same bytes as one u8 tensor.
+        auto u8 = tensor::Tensor::uninitialized(tensor::DType::U8,
+                                                {3, 224, 224});
+        std::copy_n(img.raw(), img.byteSize(), u8.raw());
+        cases.push_back(measureCase("cast_u8_to_f32_224", bytes, [&u8] {
+            tensor::castU8ToF32(u8);
         }));
-        auto f32 = tensor::castU8ToF32(chw);
+        auto f32 = tensor::rgbToChwF32(img.raw(), img.height(), img.width());
         const std::vector<float> mean{0.485f, 0.456f, 0.406f};
         const std::vector<float> stddev{0.229f, 0.224f, 0.225f};
         const auto f32_bytes = static_cast<std::uint64_t>(f32.byteSize());
@@ -706,11 +725,15 @@ runJsonMode(const char *path)
                  "  \"simd_speedup_vs_scalar\": "
                  "{\"decode_500x375_q75_sub\": %.2f, "
                  "\"resize_500x375_to_224\": %.2f, "
+                 "\"to_tensor_224\": %.2f, "
                  "\"normalize_224\": %.2f},\n",
                  active_decode_ns > 0.0 ? scalar_decode_ns / active_decode_ns
                                         : 0.0,
                  active_resize_ns > 0.0 ? scalar_resize_ns / active_resize_ns
                                         : 0.0,
+                 active_to_tensor_ns > 0.0
+                     ? scalar_to_tensor_ns / active_to_tensor_ns
+                     : 0.0,
                  active_normalize_ns > 0.0
                      ? scalar_normalize_ns / active_normalize_ns
                      : 0.0);
@@ -740,12 +763,15 @@ runJsonMode(const char *path)
     std::printf("window decode 500x375 q75 (44%%) vs decode+crop: %.2fx\n",
                 window_ns > 0.0 ? crop_ns / window_ns : 0.0);
     std::printf("simd tier %s vs scalar: decode %.2fx, resize %.2fx, "
-                "normalize %.2fx\n",
+                "to_tensor %.2fx, normalize %.2fx\n",
                 simd::tierName(default_tier),
                 active_decode_ns > 0.0 ? scalar_decode_ns / active_decode_ns
                                        : 0.0,
                 active_resize_ns > 0.0 ? scalar_resize_ns / active_resize_ns
                                        : 0.0,
+                active_to_tensor_ns > 0.0
+                    ? scalar_to_tensor_ns / active_to_tensor_ns
+                    : 0.0,
                 active_normalize_ns > 0.0
                     ? scalar_normalize_ns / active_normalize_ns
                     : 0.0);

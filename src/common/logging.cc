@@ -23,8 +23,14 @@ void
 fatalImpl(const char *file, int line, const std::string &msg)
 {
     std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
-    std::fflush(stderr);
-    std::exit(1);
+    // Flush every stdio stream, then leave without running static or
+    // thread_local destructors: fatal() can fire while worker threads
+    // still run (e.g. DataLoader::reconfigure mid-epoch), and exit()
+    // would destroy the metrics registry under them, or wait forever
+    // in a destructor on a lock that a worker (or, in a forked child,
+    // a thread that no longer exists) holds.
+    std::fflush(nullptr);
+    std::_Exit(1);
 }
 
 void

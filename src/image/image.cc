@@ -1,7 +1,5 @@
 #include "image/image.h"
 
-#include <algorithm>
-
 namespace lotus::image {
 
 Image::Image(int width, int height)
@@ -26,28 +24,6 @@ Image
 Image::uninitialized(int width, int height)
 {
     return Image(width, height, Uninit{});
-}
-
-tensor::Tensor
-Image::toTensorHwc() const
-{
-    tensor::Tensor out = tensor::Tensor::uninitialized(
-        tensor::DType::U8, {height_, width_, kChannels});
-    std::copy(data_.begin(), data_.end(), out.raw());
-    return out;
-}
-
-Image
-Image::fromTensorHwc(const tensor::Tensor &hwc)
-{
-    LOTUS_ASSERT(hwc.rank() == 3 && hwc.dim(2) == kChannels &&
-                     hwc.dtype() == tensor::DType::U8,
-                 "expected u8 [H, W, 3] tensor, got %s",
-                 hwc.description().c_str());
-    Image out = Image::uninitialized(static_cast<int>(hwc.dim(1)),
-                                     static_cast<int>(hwc.dim(0)));
-    std::copy_n(hwc.raw(), hwc.byteSize(), out.raw());
-    return out;
 }
 
 } // namespace lotus::image

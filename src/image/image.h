@@ -14,7 +14,6 @@
 
 #include "common/logging.h"
 #include "memory/buffer_pool.h"
-#include "tensor/tensor.h"
 
 namespace lotus::image {
 
@@ -71,12 +70,6 @@ class Image
 
     std::uint8_t *raw() { return data_.data(); }
     const std::uint8_t *raw() const { return data_.data(); }
-
-    /** Copy out as an HWC u8 tensor. */
-    tensor::Tensor toTensorHwc() const;
-
-    /** Build from an HWC u8 tensor of shape [H, W, 3]. */
-    static Image fromTensorHwc(const tensor::Tensor &hwc);
 
     bool
     sameSize(const Image &other) const

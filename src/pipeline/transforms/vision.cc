@@ -145,9 +145,8 @@ ToTensor::apply(Sample &sample, Rng &rng) const
 {
     (void)rng;
     LOTUS_ASSERT(sample.hasImage(), "ToTensor needs an image");
-    const tensor::Tensor hwc = sample.image->toTensorHwc();
-    const tensor::Tensor chw = tensor::hwcToChw(hwc);
-    sample.data = tensor::castU8ToF32(chw);
+    const image::Image &img = *sample.image;
+    sample.data = tensor::rgbToChwF32(img.raw(), img.height(), img.width());
     sample.image.reset();
 }
 

@@ -64,6 +64,7 @@ registerSymbols(const detail::KernelNames &names)
     setKernelSymbol(KernelId::ResampleHorizontal, names.resample_h_rgb_row);
     setKernelSymbol(KernelId::ResampleVertical, names.resample_v_row);
     setKernelSymbol(KernelId::CastU8ToF32, names.cast_u8_f32);
+    setKernelSymbol(KernelId::UnpackRgb, names.unpack_rgb_f32);
     setKernelSymbol(KernelId::NormalizeChannels, names.normalize_f32);
     setKernelSymbol(KernelId::CollateCopy, names.copy_bytes);
 }

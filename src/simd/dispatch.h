@@ -16,11 +16,11 @@
  * Correctness contract (enforced by tests/test_simd_dispatch.cc):
  * every tier produces *bit-identical* output to the scalar tier for
  * every kernel in the table. Integer kernels are exact by
- * construction; float kernels (cast / normalize / IDCT store) use the
- * same IEEE operation order in every tier and the SIMD translation
- * units are compiled without FMA so no contraction can change
- * results. The scalar tier itself is the PR-1 fixed-point fast path,
- * which stays within |diff| <= 1 of the retained float reference.
+ * construction; float kernels (cast / unpack / normalize / IDCT store)
+ * use the same IEEE operation order in every tier and the SIMD
+ * translation units are compiled without FMA so no contraction can
+ * change results. The scalar tier itself is the PR-1 fixed-point fast
+ * path, which stays within |diff| <= 1 of the retained float reference.
  *
  * Tiers may OVER-READ up to kMaxReadSlack bytes past the logical end
  * of kernel inputs (never write). All pooled buffers (Image / Plane /
@@ -131,6 +131,16 @@ struct KernelTable
     /** dst[i] = float(src[i]) * scale. */
     void (*cast_u8_f32)(const std::uint8_t *src, float *dst,
                         std::int64_t n, float scale);
+
+    /**
+     * Deinterleave @p pixels RGB pixels into three f32 planes:
+     * r[i] = float(src[3i]) * scale, g[i] = float(src[3i + 1]) * scale,
+     * b[i] = float(src[3i + 2]) * scale (exact u8->f32, one multiply).
+     * May read up to kMaxReadSlack bytes past the source; writes
+     * exactly @p pixels floats to each plane.
+     */
+    void (*unpack_rgb_f32)(const std::uint8_t *src, float *r, float *g,
+                           float *b, std::int64_t pixels, float scale);
 
     /** data[i] = (data[i] - mean) * inv_std. */
     void (*normalize_f32)(float *data, std::int64_t n, float mean,

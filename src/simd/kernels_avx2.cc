@@ -320,6 +320,46 @@ castU8F32Avx2(const std::uint8_t *src, float *dst, std::int64_t n,
 }
 
 void
+unpackRgbF32Avx2(const std::uint8_t *src, float *r, float *g, float *b,
+                 std::int64_t pixels, float scale)
+{
+    // Lane 0 loads pixels 0..3 and lane 1 pixels 4..7 of the step (the
+    // upper 4 bytes of each load are the next pixels, or read slack on
+    // the final step); the in-lane shuffle zero-extends one channel's
+    // eight bytes to i32, which convert to f32 exactly.
+    const __m256i mask_r = _mm256_broadcastsi128_si256(
+        _mm_setr_epi8(0, -1, -1, -1, 3, -1, -1, -1, 6, -1, -1, -1, 9, -1,
+                      -1, -1));
+    const __m256i mask_g = _mm256_broadcastsi128_si256(
+        _mm_setr_epi8(1, -1, -1, -1, 4, -1, -1, -1, 7, -1, -1, -1, 10, -1,
+                      -1, -1));
+    const __m256i mask_b = _mm256_broadcastsi128_si256(
+        _mm_setr_epi8(2, -1, -1, -1, 5, -1, -1, -1, 8, -1, -1, -1, 11, -1,
+                      -1, -1));
+    const __m256 vscale = _mm256_set1_ps(scale);
+    const auto channel = [vscale](__m256i px, __m256i mask) {
+        return _mm256_mul_ps(
+            _mm256_cvtepi32_ps(_mm256_shuffle_epi8(px, mask)), vscale);
+    };
+    std::int64_t i = 0;
+    for (; i + 8 <= pixels; i += 8) {
+        const std::uint8_t *s = src + 3 * i;
+        const __m256i px = _mm256_inserti128_si256(
+            _mm256_castsi128_si256(
+                _mm_loadu_si128(reinterpret_cast<const __m128i *>(s))),
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(s + 12)), 1);
+        _mm256_storeu_ps(r + i, channel(px, mask_r));
+        _mm256_storeu_ps(g + i, channel(px, mask_g));
+        _mm256_storeu_ps(b + i, channel(px, mask_b));
+    }
+    for (; i < pixels; ++i) {
+        r[i] = static_cast<float>(src[3 * i + 0]) * scale;
+        g[i] = static_cast<float>(src[3 * i + 1]) * scale;
+        b[i] = static_cast<float>(src[3 * i + 2]) * scale;
+    }
+}
+
+void
 normalizeF32Avx2(float *data, std::int64_t n, float mean, float inv_std)
 {
     const __m256 vmean = _mm256_set1_ps(mean);
@@ -387,6 +427,8 @@ fillAvx2(KernelTable &table, KernelNames &names)
     names.resample_v_row = "ImagingResampleVertical_8bpc_avx2";
     table.cast_u8_f32 = castU8F32Avx2;
     names.cast_u8_f32 = "cast_u8_to_f32_avx2";
+    table.unpack_rgb_f32 = unpackRgbF32Avx2;
+    names.unpack_rgb_f32 = "ImagingUnpackRGB_avx2";
     table.normalize_f32 = normalizeF32Avx2;
     names.normalize_f32 = "normalize_channels_avx2";
     table.copy_bytes = copyBytesAvx2;

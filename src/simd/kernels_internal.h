@@ -27,6 +27,7 @@ struct KernelNames
     const char *resample_h_rgb_row;
     const char *resample_v_row;
     const char *cast_u8_f32;
+    const char *unpack_rgb_f32;
     const char *normalize_f32;
     const char *copy_bytes;
 };

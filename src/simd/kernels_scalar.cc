@@ -156,6 +156,17 @@ castU8F32Scalar(const std::uint8_t *src, float *dst, std::int64_t n,
 }
 
 void
+unpackRgbF32Scalar(const std::uint8_t *src, float *r, float *g, float *b,
+                   std::int64_t pixels, float scale)
+{
+    for (std::int64_t i = 0; i < pixels; ++i) {
+        r[i] = static_cast<float>(src[3 * i + 0]) * scale;
+        g[i] = static_cast<float>(src[3 * i + 1]) * scale;
+        b[i] = static_cast<float>(src[3 * i + 2]) * scale;
+    }
+}
+
+void
 normalizeF32Scalar(float *data, std::int64_t n, float mean, float inv_std)
 {
     for (std::int64_t i = 0; i < n; ++i)
@@ -179,6 +190,7 @@ fillScalar(KernelTable &table, KernelNames &names)
     table.resample_h_rgb_row = resampleHRgbRowScalar;
     table.resample_v_row = resampleVRowScalar;
     table.cast_u8_f32 = castU8F32Scalar;
+    table.unpack_rgb_f32 = unpackRgbF32Scalar;
     table.normalize_f32 = normalizeF32Scalar;
     table.copy_bytes = copyBytesScalar;
     // Scalar keeps the historical base names, so single-tier hosts
@@ -189,6 +201,7 @@ fillScalar(KernelTable &table, KernelNames &names)
     names.resample_h_rgb_row = "ImagingResampleHorizontal_8bpc";
     names.resample_v_row = "ImagingResampleVertical_8bpc";
     names.cast_u8_f32 = "cast_u8_to_f32";
+    names.unpack_rgb_f32 = "ImagingUnpackRGB";
     names.normalize_f32 = "normalize_channels";
     names.copy_bytes = "collate_copy";
 }

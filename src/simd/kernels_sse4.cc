@@ -1,8 +1,8 @@
 /**
  * SSE4.2 tier. Specializes the upsample, IDCT store, both resample
- * passes and the tensor cast/normalize kernels with 128-bit vectors;
- * YCC->RGB stays scalar (it needs AVX2 gathers to beat the table
- * loads) and copy_bytes stays memcpy.
+ * passes and the tensor cast/unpack/normalize kernels with 128-bit
+ * vectors; YCC->RGB stays scalar (it needs AVX2 gathers to beat the
+ * table loads) and copy_bytes stays memcpy.
  *
  * Compiled with -msse4.2 only (no FMA): float kernels keep the exact
  * IEEE operation order of the scalar tier, so outputs here are
@@ -194,6 +194,43 @@ castU8F32Sse4(const std::uint8_t *src, float *dst, std::int64_t n,
 }
 
 void
+unpackRgbF32Sse4(const std::uint8_t *src, float *r, float *g, float *b,
+                 std::int64_t pixels, float scale)
+{
+    // Each 16-byte load holds four whole pixels (the last 4 bytes are
+    // the next pixels, or read slack on the final step); one shuffle
+    // per channel zero-extends its four bytes to i32 lanes, which
+    // convert to f32 exactly.
+    const __m128i mask_r =
+        _mm_setr_epi8(0, -1, -1, -1, 3, -1, -1, -1, 6, -1, -1, -1, 9, -1,
+                      -1, -1);
+    const __m128i mask_g =
+        _mm_setr_epi8(1, -1, -1, -1, 4, -1, -1, -1, 7, -1, -1, -1, 10, -1,
+                      -1, -1);
+    const __m128i mask_b =
+        _mm_setr_epi8(2, -1, -1, -1, 5, -1, -1, -1, 8, -1, -1, -1, 11, -1,
+                      -1, -1);
+    const __m128 vscale = _mm_set1_ps(scale);
+    const auto channel = [vscale](__m128i px, __m128i mask) {
+        return _mm_mul_ps(_mm_cvtepi32_ps(_mm_shuffle_epi8(px, mask)),
+                          vscale);
+    };
+    std::int64_t i = 0;
+    for (; i + 4 <= pixels; i += 4) {
+        const __m128i px = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(src + 3 * i));
+        _mm_storeu_ps(r + i, channel(px, mask_r));
+        _mm_storeu_ps(g + i, channel(px, mask_g));
+        _mm_storeu_ps(b + i, channel(px, mask_b));
+    }
+    for (; i < pixels; ++i) {
+        r[i] = static_cast<float>(src[3 * i + 0]) * scale;
+        g[i] = static_cast<float>(src[3 * i + 1]) * scale;
+        b[i] = static_cast<float>(src[3 * i + 2]) * scale;
+    }
+}
+
+void
 normalizeF32Sse4(float *data, std::int64_t n, float mean, float inv_std)
 {
     const __m128 vmean = _mm_set1_ps(mean);
@@ -222,6 +259,8 @@ fillSse4(KernelTable &table, KernelNames &names)
     names.resample_v_row = "ImagingResampleVertical_8bpc_sse4";
     table.cast_u8_f32 = castU8F32Sse4;
     names.cast_u8_f32 = "cast_u8_to_f32_sse4";
+    table.unpack_rgb_f32 = unpackRgbF32Sse4;
+    names.unpack_rgb_f32 = "ImagingUnpackRGB_sse4";
     table.normalize_f32 = normalizeF32Sse4;
     names.normalize_f32 = "normalize_channels_sse4";
 }

@@ -48,35 +48,20 @@ castF32ToU8(const Tensor &input, float scale)
 }
 
 Tensor
-hwcToChw(const Tensor &hwc)
+rgbToChwF32(const std::uint8_t *rgb, std::int64_t height, std::int64_t width,
+            float scale)
 {
-    LOTUS_ASSERT(hwc.rank() == 3, "hwcToChw expects rank 3, got %zu",
-                 hwc.rank());
     KernelScope scope(KernelId::UnpackRgb);
-    const std::int64_t h = hwc.dim(0);
-    const std::int64_t w = hwc.dim(1);
-    const std::int64_t c = hwc.dim(2);
-    Tensor out(hwc.dtype(), {c, h, w});
-    const std::size_t esize = dtypeSize(hwc.dtype());
-    const std::uint8_t *src = hwc.raw();
-    std::uint8_t *dst = out.raw();
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-        for (std::int64_t y = 0; y < h; ++y) {
-            for (std::int64_t x = 0; x < w; ++x) {
-                const std::size_t s =
-                    static_cast<std::size_t>(((y * w + x) * c + ch)) * esize;
-                const std::size_t d =
-                    static_cast<std::size_t>(((ch * h + y) * w + x)) * esize;
-                for (std::size_t b = 0; b < esize; ++b)
-                    dst[d + b] = src[s + b];
-            }
-        }
-    }
-    const std::uint64_t bytes = hwc.byteSize();
-    scope.stats().bytes_read += bytes;
-    scope.stats().bytes_written += bytes;
-    scope.stats().random_accesses += static_cast<std::uint64_t>(h * w);
-    scope.stats().items += static_cast<std::uint64_t>(hwc.numel());
+    Tensor out = Tensor::uninitialized(DType::F32, {3, height, width});
+    const std::int64_t pixels = height * width;
+    float *r = out.data<float>();
+    simd::kernels().unpack_rgb_f32(rgb, r, r + pixels, r + 2 * pixels, pixels,
+                                   scale);
+    const auto n = static_cast<std::uint64_t>(pixels) * 3;
+    scope.stats().bytes_read += n;
+    scope.stats().bytes_written += n * 4;
+    scope.stats().arith_ops += n;
+    scope.stats().items += n;
     return out;
 }
 

@@ -28,8 +28,15 @@ Tensor castU8ToF32(const Tensor &input, float scale = 1.0f / 255.0f);
 /** Convert an f32 tensor to u8 with clamping to [0, 255]. */
 Tensor castF32ToU8(const Tensor &input, float scale = 1.0f);
 
-/** Permute an HWC u8 image tensor to CHW (still u8). */
-Tensor hwcToChw(const Tensor &hwc);
+/**
+ * ToTensor in one pass: read @p height x @p width interleaved RGB u8
+ * pixels at @p rgb in place and return the [3, height, width] f32 CHW
+ * tensor float(u8) * @p scale. Bit-identical to permuting to CHW and
+ * then castU8ToF32. @p rgb must stay readable for
+ * simd::kMaxReadSlack bytes past its end (pooled Image storage is).
+ */
+Tensor rgbToChwF32(const std::uint8_t *rgb, std::int64_t height,
+                   std::int64_t width, float scale = 1.0f / 255.0f);
 
 /**
  * In-place per-channel normalization of a CHW (or C-first N-D) f32

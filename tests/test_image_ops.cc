@@ -24,20 +24,6 @@ TEST(Image, ConstructionAndAccess)
     EXPECT_EQ(img.row(1)[2 * 3 + 1], 77);
 }
 
-TEST(Image, TensorRoundTrip)
-{
-    Rng rng(2);
-    Image img = synthesize(rng, 8, 6);
-    const auto hwc = img.toTensorHwc();
-    ASSERT_EQ(hwc.shape(), (std::vector<std::int64_t>{6, 8, 3}));
-    Image back = Image::fromTensorHwc(hwc);
-    ASSERT_TRUE(back.sameSize(img));
-    for (int y = 0; y < 6; ++y) {
-        for (int i = 0; i < 8 * 3; ++i)
-            EXPECT_EQ(back.row(y)[i], img.row(y)[i]);
-    }
-}
-
 TEST(Resample, PrecomputeCoeffsNormalized)
 {
     const auto windows = detail::precomputeCoeffs(100, 30, Filter::Bilinear);

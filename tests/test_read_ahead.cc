@@ -97,6 +97,8 @@ waitUntilIssued(std::uint64_t count)
 
 TEST(ReadAhead, ClaimsServePrefetchedBytesInAnyOrder)
 {
+    metrics::ScopedEnable enable;
+    metrics::MetricsRegistry::instance().reset();
     auto store = makePlainStore(24);
     ReadAheadOptions options;
     options.depth = 8;
@@ -104,26 +106,23 @@ TEST(ReadAhead, ClaimsServePrefetchedBytesInAnyOrder)
     ReadAhead engine(store.get(), options);
     engine.startEpoch(sequentialPlan(24), nullptr);
 
-    // Give the issuers time to fill the window between claim bursts:
-    // a claim is only *guaranteed* to hit once its read was issued
-    // (an outrun consumer legitimately misses and reads itself).
-    const auto settle = [] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    };
-    settle();
+    // Let the issuers fill the window before each claim burst: a
+    // claim is only *guaranteed* to hit once its read was issued (an
+    // outrun consumer legitimately misses and reads itself).
+    waitUntilIssued(8);
     // In-order claims drain the full window; each matches the store.
     for (int i = 0; i < 8; ++i) {
         auto blob = engine.claim(i);
         ASSERT_TRUE(blob.has_value()) << "index " << i;
         EXPECT_EQ(blob->value(), store->read(i));
     }
-    settle();
+    waitUntilIssued(16);
     for (int i = 8; i < 16; ++i) {
         auto blob = engine.claim(i);
         ASSERT_TRUE(blob.has_value()) << "index " << i;
         EXPECT_EQ(blob->value(), store->read(i));
     }
-    settle();
+    waitUntilIssued(24);
     // Out-of-order (work-stealing shape): claims land regardless of
     // the order the window was filled in.
     for (const int i : {23, 17, 20, 16, 22, 18, 21, 19}) {
@@ -131,10 +130,13 @@ TEST(ReadAhead, ClaimsServePrefetchedBytesInAnyOrder)
         ASSERT_TRUE(blob.has_value()) << "index " << i;
         EXPECT_EQ(blob->value(), store->read(i));
     }
+    metrics::MetricsRegistry::instance().reset();
 }
 
 TEST(ReadAhead, UnplannedIndexMissesWithoutBlocking)
 {
+    metrics::ScopedEnable enable;
+    metrics::MetricsRegistry::instance().reset();
     auto store = makePlainStore(8);
     ReadAheadOptions options;
     options.depth = 4;
@@ -142,11 +144,12 @@ TEST(ReadAhead, UnplannedIndexMissesWithoutBlocking)
     ReadAhead engine(store.get(), options);
     engine.startEpoch(sequentialPlan(4), nullptr);
     // Let the issuer fill the window so claim(0) is a guaranteed hit.
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    waitUntilIssued(4);
 
     EXPECT_FALSE(engine.claim(7).has_value()); // never in the plan
     EXPECT_TRUE(engine.claim(0).has_value());
     EXPECT_FALSE(engine.claim(0).has_value()); // already consumed
+    metrics::MetricsRegistry::instance().reset();
 }
 
 TEST(ReadAhead, MissedIndexIsNeverIssuedLater)

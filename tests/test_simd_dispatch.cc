@@ -362,6 +362,73 @@ TEST(SimdDispatchTest, CastAndNormalizeMatchScalarBitExact)
     }
 }
 
+TEST(SimdDispatchTest, UnpackRgbMatchesScalarWithExactWrites)
+{
+    // Each plane sits between guard floats in a buffer of exactly
+    // offset + pixels + guard floats, so a vector tail that stores
+    // past `pixels` clobbers a guard and fails the test.
+    constexpr std::size_t kGuard = 16;
+    constexpr float kGuardValue = -7.0f; // outside every output's [0, 1]
+    constexpr float kScale = 1.0f / 255.0f;
+
+    std::vector<std::int64_t> counts;
+    for (std::int64_t n = 0; n <= 67; ++n)
+        counts.push_back(n);
+    counts.push_back(224 * 224);
+
+    Rng rng(19);
+    for (const std::int64_t pixels : counts) {
+        const auto n = static_cast<std::size_t>(pixels);
+        for (const std::size_t src_off : {0, 1, 5}) {
+            memory::PooledArray<std::uint8_t> src(src_off + 3 * n,
+                                                  /*zero=*/false);
+            for (auto &byte : src)
+                byte = static_cast<std::uint8_t>(rng.nextBelow(256));
+            const std::uint8_t *rgb = src.data() + src_off;
+
+            // The scalar tier is the definition: float(u8) * scale.
+            std::vector<float> expected(3 * n);
+            for (std::size_t i = 0; i < n; ++i)
+                for (std::size_t c = 0; c < 3; ++c)
+                    expected[c * n + i] =
+                        static_cast<float>(rgb[3 * i + c]) * kScale;
+
+            for (const std::size_t dst_off : {0, 1, 3}) {
+                for (const Tier tier : supportedTiers()) {
+                    ScopedTier scoped(tier);
+                    std::vector<float> planes[3];
+                    for (auto &plane : planes)
+                        plane.assign(dst_off + n + kGuard, kGuardValue);
+                    kernels().unpack_rgb_f32(
+                        rgb, planes[0].data() + dst_off,
+                        planes[1].data() + dst_off,
+                        planes[2].data() + dst_off, pixels, kScale);
+                    for (std::size_t c = 0; c < 3; ++c) {
+                        const auto &plane = planes[c];
+                        for (std::size_t i = 0; i < dst_off; ++i)
+                            ASSERT_EQ(plane[i], kGuardValue)
+                                << "head guard " << i << " plane " << c;
+                        ASSERT_TRUE(n == 0 ||
+                                    std::memcmp(plane.data() + dst_off,
+                                                expected.data() + c * n,
+                                                n * sizeof(float)) == 0)
+                            << "unpack_rgb_f32 diverges from scalar under "
+                            << tierName(tier) << ": pixels " << pixels
+                            << " plane " << c << " src_off " << src_off
+                            << " dst_off " << dst_off;
+                        for (std::size_t i = dst_off + n; i < plane.size();
+                             ++i)
+                            ASSERT_EQ(plane[i], kGuardValue)
+                                << "tail over-write under " << tierName(tier)
+                                << ": pixels " << pixels << " plane " << c
+                                << " float " << i - dst_off - n;
+                    }
+                }
+            }
+        }
+    }
+}
+
 TEST(SimdDispatchTest, CopyBytesMatchesScalarIncludingStreaming)
 {
     Rng rng(17);

@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "tensor/ops.h"
@@ -98,27 +101,34 @@ TEST(Ops, CastF32ToU8Clamps)
     EXPECT_EQ(u.data<std::uint8_t>()[1], 255);
 }
 
-TEST(Ops, HwcToChwPermutes)
+TEST(Ops, RgbToChwF32MatchesThreePassReference)
 {
-    Tensor hwc(DType::U8, {2, 2, 3});
-    // pixel (y, x) channel c value: y*100 + x*10 + c
-    for (int y = 0; y < 2; ++y) {
-        for (int x = 0; x < 2; ++x) {
-            for (int c = 0; c < 3; ++c) {
-                hwc.data<std::uint8_t>()[(y * 2 + x) * 3 + c] =
-                    static_cast<std::uint8_t>(y * 100 + x * 10 + c);
-            }
-        }
-    }
-    Tensor chw = hwcToChw(hwc);
-    ASSERT_EQ(chw.shape(), (std::vector<std::int64_t>{3, 2, 2}));
-    for (int c = 0; c < 3; ++c) {
-        for (int y = 0; y < 2; ++y) {
-            for (int x = 0; x < 2; ++x) {
-                EXPECT_EQ(chw.data<std::uint8_t>()[(c * 2 + y) * 2 + x],
-                          y * 100 + x * 10 + c);
-            }
-        }
+    Rng rng(5);
+    for (const auto &[h, w] :
+         std::vector<std::pair<std::int64_t, std::int64_t>>{
+             {1, 1}, {1, 67}, {3, 5}, {7, 13}, {17, 31}, {33, 1}, {75, 101}}) {
+        Tensor hwc(DType::U8, {h, w, 3});
+        for (std::int64_t i = 0; i < hwc.numel(); ++i)
+            hwc.data<std::uint8_t>()[i] =
+                static_cast<std::uint8_t>(rng.nextBelow(256));
+
+        // The reference: copy out, permute HWC -> CHW byte by byte,
+        // then cast u8 -> f32.
+        Tensor chw(DType::U8, {3, h, w});
+        for (std::int64_t c = 0; c < 3; ++c)
+            for (std::int64_t y = 0; y < h; ++y)
+                for (std::int64_t x = 0; x < w; ++x)
+                    chw.data<std::uint8_t>()[(c * h + y) * w + x] =
+                        hwc.data<std::uint8_t>()[(y * w + x) * 3 + c];
+        const Tensor expected = castU8ToF32(chw);
+
+        const Tensor actual = rgbToChwF32(hwc.raw(), h, w);
+        ASSERT_EQ(actual.dtype(), DType::F32);
+        ASSERT_EQ(actual.shape(), (std::vector<std::int64_t>{3, h, w}));
+        EXPECT_EQ(std::memcmp(actual.raw(), expected.raw(),
+                              expected.byteSize()),
+                  0)
+            << h << "x" << w;
     }
 }
 

@@ -36,7 +36,10 @@ BUILD_DIR="${BUILD_DIR:-${REPO_ROOT}/build-asan}"
 # (pinned submissions on the engine, per-epoch fleet teardown),
 # test_metrics drives the loader and engine telemetry series, and
 # test_crop_fusion runs window decodes of corrupt blobs on every engine.
-ASAN_TESTS='test_cache|test_fault_injection|test_image_codec|test_dataflow|test_pipeline|test_hwcount|test_trace|test_remote_store|test_read_ahead|test_tuner|test_service$|test_work_stealing|test_task_engine|test_integration|test_metrics|fuzz_ljpg_decode|test_crop_fusion'
+# test_simd_dispatch (and its scalar-tier run) and test_tensor drive
+# every dispatch tier's vector tails against exact-size buffers, so an
+# over-read past the pool slack or a tail over-write shows here.
+ASAN_TESTS='test_cache|test_fault_injection|test_image_codec|test_dataflow|test_pipeline|test_hwcount|test_trace|test_remote_store|test_read_ahead|test_tuner|test_service$|test_work_stealing|test_task_engine|test_integration|test_metrics|fuzz_ljpg_decode|test_crop_fusion|test_simd_dispatch|test_tensor'
 
 cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" \
     -DLOTUS_SANITIZE=address \
@@ -47,7 +50,7 @@ cmake --build "${BUILD_DIR}" -j "$(nproc)" \
              test_remote_store test_read_ahead test_tuner \
              test_service test_work_stealing test_task_engine \
              test_integration test_metrics fuzz_ljpg_decode \
-             test_crop_fusion
+             test_crop_fusion test_simd_dispatch test_tensor
 
 ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \
