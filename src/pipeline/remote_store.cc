@@ -43,6 +43,9 @@ RemoteStore::RemoteStore(std::shared_ptr<const BlobStore> inner,
     if (options_.deadline < 0)
         LOTUS_FATAL("RemoteStore deadline must be >= 0 (got %lld)",
                     static_cast<long long>(options_.deadline));
+    auto &registry = metrics::MetricsRegistry::instance();
+    inflight_gauge_ = registry.gauge(kRemoteInflightMetric);
+    connection_waits_counter_ = registry.counter(kRemoteConnectionWaitsMetric);
 }
 
 std::int64_t
@@ -76,15 +79,12 @@ RemoteStore::tryRead(std::int64_t index) const
         request.batch_id = ambient->batch_id;
         request.sample_index = ambient->sample_index;
     }
-    std::vector<std::optional<Result<std::string>>> out(1);
-    serveRange({RangeSlot{request, 0}}, out);
-    return std::move(*out[0]);
+    return std::move(tryReadMany({request}).front());
 }
 
 std::vector<Result<std::string>>
 RemoteStore::tryReadMany(const std::vector<BlobReadRequest> &requests) const
 {
-    std::vector<std::optional<Result<std::string>>> out(requests.size());
     std::vector<RangeSlot> slots;
     slots.reserve(requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i)
@@ -93,41 +93,44 @@ RemoteStore::tryReadMany(const std::vector<BlobReadRequest> &requests) const
                      [](const RangeSlot &a, const RangeSlot &b) {
                          return a.request.index < b.request.index;
                      });
+    LOTUS_ASSERT(slots.empty() || (slots.front().request.index >= 0 &&
+                                   slots.back().request.index < size()),
+                 "remote reads [%lld, %lld] out of range",
+                 static_cast<long long>(slots.front().request.index),
+                 static_cast<long long>(slots.back().request.index));
 
     // Split the sorted requests into runs; each run becomes one
     // ranged GET. A run breaks when the next index is beyond the
     // coalescing window or extending the span would blow the byte
-    // cap (gap blobs count — they ride the wire too).
-    std::vector<RangeSlot> run;
-    std::int64_t span_bytes = 0;
-    for (const RangeSlot &slot : slots) {
-        if (!run.empty()) {
-            const std::int64_t prev = run.back().request.index;
-            const std::int64_t gap = slot.request.index - prev - 1;
-            std::int64_t extension = 0;
-            if (slot.request.index > prev)
-                for (std::int64_t i = prev + 1; i <= slot.request.index; ++i)
+    // cap (gap blobs count — they ride the wire too). The gap is
+    // checked first, so sizes are summed only across gaps that may
+    // join: a shuffled plan costs O(requests), not O(dataset span).
+    std::vector<Run> runs;
+    for (std::size_t s = 0; s < slots.size(); ++s) {
+        const std::int64_t index = slots[s].request.index;
+        if (!runs.empty()) {
+            Run &run = runs.back();
+            const std::int64_t prev = slots[s - 1].request.index;
+            if (index - prev - 1 <= options_.max_coalesce_gap) {
+                std::int64_t extension = 0;
+                for (std::int64_t i = prev + 1; i <= index; ++i)
                     extension += static_cast<std::int64_t>(
                         inner_->blobSize(i));
-            const bool over_bytes =
-                options_.max_coalesced_bytes > 0 &&
-                span_bytes + extension > options_.max_coalesced_bytes;
-            if (gap > options_.max_coalesce_gap || over_bytes) {
-                serveRange(run, out);
-                run.clear();
-                span_bytes = 0;
-            } else {
-                run.push_back(slot);
-                span_bytes += extension;
-                continue;
+                if (options_.max_coalesced_bytes <= 0 ||
+                    run.span_bytes + extension <=
+                        options_.max_coalesced_bytes) {
+                    run.end = s + 1;
+                    run.span_bytes += extension;
+                    continue;
+                }
             }
         }
-        run.push_back(slot);
-        span_bytes =
-            static_cast<std::int64_t>(inner_->blobSize(slot.request.index));
+        runs.push_back(
+            Run{s, s + 1, static_cast<std::int64_t>(inner_->blobSize(index))});
     }
-    if (!run.empty())
-        serveRange(run, out);
+
+    std::vector<std::optional<Result<std::string>>> out(requests.size());
+    serveRuns(slots, runs, out);
 
     std::vector<Result<std::string>> blobs;
     blobs.reserve(out.size());
@@ -139,84 +142,157 @@ RemoteStore::tryReadMany(const std::vector<BlobReadRequest> &requests) const
 }
 
 void
-RemoteStore::serveRange(
-    const std::vector<RangeSlot> &run,
+RemoteStore::serveRuns(
+    const std::vector<RangeSlot> &slots, const std::vector<Run> &runs,
     std::vector<std::optional<Result<std::string>>> &out) const
 {
-    LOTUS_ASSERT(!run.empty());
-    const std::int64_t first = run.front().request.index;
-    const std::int64_t last = run.back().request.index;
-    LOTUS_ASSERT(first >= 0 && last < inner_->size(),
-                 "remote range [%lld, %lld] out of range",
-                 static_cast<long long>(first),
-                 static_cast<long long>(last));
+    const SteadyClock &clock = SteadyClock::instance();
 
-    std::int64_t span_bytes = 0;
-    for (std::int64_t i = first; i <= last; ++i)
-        span_bytes += static_cast<std::int64_t>(inner_->blobSize(i));
+    // A run on the wire: it holds a connection slot until `lands`.
+    struct InFlight
+    {
+        const Run *run;
+        TimeNs lands;
+        bool late;
+    };
+    std::vector<InFlight> inflight;
+    std::size_t next = 0;
+    // The next run already counted a connection wait.
+    bool next_waited = false;
 
-    const TimeNs submitted = SteadyClock::instance().now();
-    acquireConnection();
+    // Put runs[next] on the wire with a slot already held. Its
+    // deadline clock started at @p clock_start.
+    auto launch = [&](TimeNs clock_start) {
+        const Run &run = runs[next++];
+        next_waited = false;
+        TimeNs transfer = 0;
+        if (options_.bytes_per_ns > 0.0)
+            transfer = static_cast<TimeNs>(
+                static_cast<double>(run.span_bytes) / options_.bytes_per_ns);
+        const TimeNs acquired = clock.now();
+        const TimeNs served =
+            acquired - clock_start + options_.rtt + transfer;
+        if (options_.deadline > 0 && served > options_.deadline) {
+            // Miss: hold the slot up to the deadline (the caller did
+            // wait that long before giving up), then fail the run.
+            inflight.push_back({&run, clock_start + options_.deadline, true});
+            return;
+        }
+        modelled_delay_ns_.fetch_add(options_.rtt + transfer,
+                                     std::memory_order_relaxed);
+        inflight.push_back({&run, acquired + options_.rtt + transfer, false});
+    };
 
-    TimeNs transfer = 0;
-    if (options_.bytes_per_ns > 0.0)
-        transfer = static_cast<TimeNs>(static_cast<double>(span_bytes) /
-                                       options_.bytes_per_ns);
-    const TimeNs served = SteadyClock::instance().now() - submitted +
-                          options_.rtt + transfer;
-    if (options_.deadline > 0 && served > options_.deadline) {
-        // Miss: consume the time up to the deadline (the caller did
-        // wait that long before giving up), then fail the whole run.
-        modelDelay(options_.deadline -
-                   (SteadyClock::instance().now() - submitted));
+    while (next < runs.size() || !inflight.empty()) {
+        // Start pending runs on whatever slots are free.
+        while (next < runs.size()) {
+            if (!tryAcquireConnection()) {
+                if (!next_waited) {
+                    connection_waits_.fetch_add(1, std::memory_order_relaxed);
+                    connection_waits_counter_->add();
+                }
+                next_waited = true;
+                break;
+            }
+            launch(clock.now());
+        }
+        if (inflight.empty()) {
+            // No free slot and nothing of our own on the wire: block
+            // on the gate for the next run. Its deadline clock starts
+            // now.
+            const TimeNs clock_start = clock.now();
+            acquireConnection();
+            launch(clock_start);
+            continue;
+        }
+
+        // Sleep until the earliest run lands, free its slot, deliver.
+        auto landed = std::min_element(
+            inflight.begin(), inflight.end(),
+            [](const InFlight &a, const InFlight &b) {
+                return a.lands < b.lands;
+            });
+        const InFlight done = *landed;
+        inflight.erase(landed);
+        modelDelay(done.lands - clock.now());
         releaseConnection();
-        timeouts_.fetch_add(run.size(), std::memory_order_relaxed);
-        for (const RangeSlot &slot : run)
-            out[slot.out_slot] = LOTUS_ERROR(
-                ErrorCode::kTimeout,
-                "remote read [%lld, %lld] (%lld bytes) missed %.1f ms "
-                "deadline",
-                static_cast<long long>(first), static_cast<long long>(last),
-                static_cast<long long>(span_bytes), toMs(options_.deadline));
-        return;
-    }
 
-    modelDelay(options_.rtt + transfer);
-    releaseConnection();
-    modelled_delay_ns_.fetch_add(options_.rtt + transfer,
-                                 std::memory_order_relaxed);
+        const Run &run = *done.run;
+        const std::int64_t first = slots[run.begin].request.index;
+        const std::int64_t last = slots[run.end - 1].request.index;
+        const std::size_t blob_count = run.end - run.begin;
+        if (done.late) {
+            timeouts_.fetch_add(blob_count, std::memory_order_relaxed);
+            for (std::size_t s = run.begin; s < run.end; ++s)
+                out[slots[s].out_slot] = LOTUS_ERROR(
+                    ErrorCode::kTimeout,
+                    "remote read [%lld, %lld] (%lld bytes) missed %.1f ms "
+                    "deadline",
+                    static_cast<long long>(first),
+                    static_cast<long long>(last),
+                    static_cast<long long>(run.span_bytes),
+                    toMs(options_.deadline));
+            continue;
+        }
 
-    round_trips_.fetch_add(1, std::memory_order_relaxed);
-    bytes_transferred_.fetch_add(static_cast<std::uint64_t>(span_bytes),
-                                 std::memory_order_relaxed);
-    if (run.size() > 1)
-        coalesced_reads_.fetch_add(run.size(), std::memory_order_relaxed);
+        round_trips_.fetch_add(1, std::memory_order_relaxed);
+        bytes_transferred_.fetch_add(
+            static_cast<std::uint64_t>(run.span_bytes),
+            std::memory_order_relaxed);
+        if (blob_count > 1)
+            coalesced_reads_.fetch_add(blob_count, std::memory_order_relaxed);
 
-    PipelineContext *ambient = currentIoContext();
-    for (const RangeSlot &slot : run) {
-        // Re-scope the ambient trace context per delivered blob so an
-        // inner tracing store stamps it for the sample it serves.
-        if (ambient != nullptr) {
-            PipelineContext ctx = *ambient;
-            ctx.batch_id = slot.request.batch_id;
-            ctx.sample_index = slot.request.sample_index;
-            IoTraceScope scope(&ctx);
-            out[slot.out_slot] = inner_->tryRead(slot.request.index);
-        } else {
-            out[slot.out_slot] = inner_->tryRead(slot.request.index);
+        PipelineContext *ambient = currentIoContext();
+        for (std::size_t s = run.begin; s < run.end; ++s) {
+            const RangeSlot &slot = slots[s];
+            // Re-scope the ambient trace context per delivered blob so
+            // an inner tracing store stamps it for the sample it
+            // serves.
+            if (ambient != nullptr) {
+                PipelineContext ctx = *ambient;
+                ctx.batch_id = slot.request.batch_id;
+                ctx.sample_index = slot.request.sample_index;
+                IoTraceScope scope(&ctx);
+                out[slot.out_slot] = inner_->tryRead(slot.request.index);
+            } else {
+                out[slot.out_slot] = inner_->tryRead(slot.request.index);
+            }
         }
     }
+}
+
+bool
+RemoteStore::tryAcquireConnection() const
+{
+    std::lock_guard<std::mutex> lock(slots_mutex_);
+    if (inflight_ >= options_.max_inflight || serving_ != next_ticket_)
+        return false;
+    takeSlotLocked();
+    return true;
 }
 
 void
 RemoteStore::acquireConnection() const
 {
     std::unique_lock<std::mutex> lock(slots_mutex_);
-    if (inflight_ >= options_.max_inflight)
-        connection_waits_.fetch_add(1, std::memory_order_relaxed);
-    slot_free_cv_.wait(lock,
-                       [this] { return inflight_ < options_.max_inflight; });
+    const std::uint64_t ticket = next_ticket_++;
+    slot_free_cv_.wait(lock, [this, ticket] {
+        return serving_ == ticket && inflight_ < options_.max_inflight;
+    });
+    ++serving_;
+    takeSlotLocked();
+    // The next ticket may find a slot free too.
+    if (serving_ != next_ticket_)
+        slot_free_cv_.notify_all();
+}
+
+void
+RemoteStore::takeSlotLocked() const
+{
     ++inflight_;
+    inflight_gauge_->set(inflight_);
+    if (inflight_ > inflight_high_water_.load(std::memory_order_relaxed))
+        inflight_high_water_.store(inflight_, std::memory_order_relaxed);
 }
 
 void
@@ -225,8 +301,9 @@ RemoteStore::releaseConnection() const
     {
         std::lock_guard<std::mutex> lock(slots_mutex_);
         --inflight_;
+        inflight_gauge_->set(inflight_);
     }
-    slot_free_cv_.notify_one();
+    slot_free_cv_.notify_all();
 }
 
 } // namespace lotus::pipeline

@@ -15,11 +15,28 @@
  *    a run of blobs costs a single RTT plus the transfer of the whole
  *    covered span (gap blobs inside a tolerated gap are dead bytes on
  *    the wire — the classic range-coalescing trade);
+ *  - the runs of one tryReadMany() call are in flight at the same
+ *    time, up to the free slots of the pool: the calling thread keeps
+ *    a timeline of its in-flight runs, sleeps until the earliest one
+ *    lands, releases that run's slot, delivers its blobs and starts
+ *    pending runs on whatever slots are free. It blocks on the gate
+ *    only when none of its own runs is in flight, so it never holds a
+ *    slot while waiting for another. Blocked threads are served first
+ *    come first served, and a free slot is never taken ahead of a
+ *    thread already queued on the gate;
+ *  - one serve path: tryRead() is a one-run call through the same
+ *    loop;
  *  - an optional per-request deadline turns slow completions
  *    (including connection-queue waits) into ErrorCode::kTimeout,
  *    which errorIsTransient() classifies as retryable so
  *    ErrorPolicy::kRetry handles a congested store exactly like a
- *    flaky one.
+ *    flaky one. Each run has its own deadline clock. It starts when
+ *    the call has nothing of its own left to wait on and turns to
+ *    that run (it takes a free slot, or blocks on the gate for one),
+ *    so a lone caller is charged exactly what a one-run-at-a-time
+ *    client would be. A late run holds its slot up to its deadline,
+ *    then releases it and fails with kTimeout; the call's other runs
+ *    are unaffected.
  *
  * Unlike InMemoryStore's busy-wait latency (which models a *local*
  * synchronous device where blocked time should pin the worker),
@@ -27,9 +44,10 @@
  * descheduling is what lets a read-ahead stage overlap store latency
  * with decode CPU — the effect this store exists to expose.
  *
- * The model is deliberately deterministic given a serial request
- * pattern (no jitter): benches and tests reason about exact
- * round-trip counts via roundTrips()/coalescedReads().
+ * The model is deliberately deterministic (no jitter): for a given
+ * request stream the run split, and so roundTrips(),
+ * coalescedReads(), bytesTransferred() and modelledDelayNs(), do not
+ * depend on timing.
  */
 
 #ifndef LOTUS_PIPELINE_REMOTE_STORE_H
@@ -42,9 +60,17 @@
 #include <mutex>
 #include <optional>
 
+#include "metrics/metrics.h"
 #include "pipeline/store.h"
 
 namespace lotus::pipeline {
+
+/** Connection slots in use (the RemoteStore that last changed it; a
+ *  process normally has one). */
+inline constexpr const char *kRemoteInflightMetric = "lotus_remote_inflight";
+/** Runs that found no free connection slot and had to wait. */
+inline constexpr const char *kRemoteConnectionWaitsMetric =
+    "lotus_remote_connection_waits_total";
 
 struct RemoteStoreOptions
 {
@@ -68,10 +94,11 @@ struct RemoteStoreOptions
      *  span would exceed it. <= 0 means unlimited. */
     std::int64_t max_coalesced_bytes = 8ll << 20;
     /**
-     * Per-request deadline measured from request submission to
-     * completion, connection-queue wait included. 0 disables. A miss
-     * consumes the modelled time up to the deadline, then fails every
-     * read in the request with ErrorCode::kTimeout.
+     * Per-request (per-run) deadline measured from the moment the
+     * caller turns to the run to its completion, connection-queue
+     * wait included. 0 disables. A miss consumes the modelled time up
+     * to the deadline, then fails every read in the run with
+     * ErrorCode::kTimeout.
      */
     TimeNs deadline = 0;
 };
@@ -126,11 +153,17 @@ class RemoteStore : public BlobStore
         return modelled_delay_ns_.load(std::memory_order_relaxed);
     }
 
-    /** Connection acquisitions that found every slot busy and had to
-     *  queue. */
+    /** Runs that found every slot busy (or a slot free but promised
+     *  to a queued thread) and had to wait; each run counts once. */
     std::uint64_t connectionWaits() const
     {
         return connection_waits_.load(std::memory_order_relaxed);
+    }
+
+    /** High-water mark of connection slots in use at once. */
+    int inflightHighWater() const
+    {
+        return inflight_high_water_.load(std::memory_order_relaxed);
     }
 
   private:
@@ -143,21 +176,33 @@ class RemoteStore : public BlobStore
         std::size_t out_slot;
     };
 
+    /** One ranged GET: slots [begin, end) of the sorted request list.
+     *  It covers every inner index from the first slot's to the last
+     *  slot's, and span_bytes is their total size. */
+    struct Run
+    {
+        std::size_t begin = 0;
+        std::size_t end = 0;
+        std::int64_t span_bytes = 0;
+    };
+
     /**
-     * Serve one ranged GET covering the run's [front.index,
-     * back.index] span: queue for a connection, sleep the modelled
-     * RTT plus the transfer of the whole span (coalescing-gap blobs
-     * included — dead bytes still ride the wire), then deliver the
-     * requested subset from the inner store. On a deadline miss every
-     * slot of the run becomes kTimeout instead.
+     * Serve @p runs over the connection pool, concurrently (see the
+     * file comment), and fill the @p out slots their RangeSlots name.
      */
-    void serveRange(const std::vector<RangeSlot> &run,
-                    std::vector<std::optional<Result<std::string>>> &out)
+    void serveRuns(const std::vector<RangeSlot> &slots,
+                   const std::vector<Run> &runs,
+                   std::vector<std::optional<Result<std::string>>> &out)
         const;
 
-    /** Block until a connection slot is free. */
+    /** Take a free slot unless none is free or a thread is queued on
+     *  the gate (a free slot is then promised to it). */
+    bool tryAcquireConnection() const;
+    /** Queue for a connection slot, first come first served. */
     void acquireConnection() const;
     void releaseConnection() const;
+    /** Take a slot; slots_mutex_ held and a slot free. */
+    void takeSlotLocked() const;
 
     std::shared_ptr<const BlobStore> inner_;
     RemoteStoreOptions options_;
@@ -165,6 +210,12 @@ class RemoteStore : public BlobStore
     mutable std::mutex slots_mutex_;
     mutable std::condition_variable slot_free_cv_;
     mutable int inflight_ = 0;
+    /** FIFO gate for blocked acquirers: each takes the next ticket and
+     *  gets a slot when `serving_` reaches it. serving_ != next_ticket_
+     *  means a thread is queued, and tryAcquireConnection() then
+     *  leaves a free slot to it. */
+    mutable std::uint64_t next_ticket_ = 0;
+    mutable std::uint64_t serving_ = 0;
 
     mutable std::atomic<std::uint64_t> round_trips_{0};
     mutable std::atomic<std::uint64_t> coalesced_reads_{0};
@@ -172,6 +223,10 @@ class RemoteStore : public BlobStore
     mutable std::atomic<std::uint64_t> bytes_transferred_{0};
     mutable std::atomic<TimeNs> modelled_delay_ns_{0};
     mutable std::atomic<std::uint64_t> connection_waits_{0};
+    mutable std::atomic<int> inflight_high_water_{0};
+
+    metrics::Gauge *inflight_gauge_ = nullptr;
+    metrics::Counter *connection_waits_counter_ = nullptr;
 };
 
 } // namespace lotus::pipeline

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
@@ -103,6 +104,7 @@ TEST(RemoteStore, CoalescesAdjacentRunsIntoSingleRoundTrips)
     RemoteStoreOptions options;
     options.rtt = kMillisecond;
     options.bytes_per_ns = 0.0;
+    options.max_inflight = 1; // one connection: the runs go one by one
     RemoteStore remote(inner, options);
 
     // Three runs under strict adjacency: {0,1,2}, {10,11}, {20}.
@@ -119,8 +121,8 @@ TEST(RemoteStore, CoalescesAdjacentRunsIntoSingleRoundTrips)
     EXPECT_EQ(remote.coalescedReads(), 5u); // 3 + 2; the singleton no
     EXPECT_EQ(remote.bytesTransferred(),
               6 * inner->blobSize(0)); // no gap blobs in any run
-    // Serial caller: three modelled round trips, not six — the delay
-    // is paid per run, not per blob.
+    // One connection: three modelled round trips back to back, not
+    // six — the delay is paid per run, not per blob.
     EXPECT_GE(elapsed, 3 * options.rtt);
     EXPECT_EQ(remote.modelledDelayNs(), 3 * options.rtt);
 }
@@ -208,6 +210,178 @@ TEST(RemoteStore, InflightSlotsBoundConcurrency)
     wide_other.join();
     // Two requests on two slots never queue for a connection.
     EXPECT_EQ(wide.connectionWaits(), 0u);
+}
+
+TEST(RemoteStore, OneCallKeepsItsRunsInFlightTogether)
+{
+    auto inner = makeStore(64);
+    RemoteStoreOptions options;
+    options.rtt = kMillisecond;
+    options.bytes_per_ns = 0.0;
+    options.max_inflight = 3;
+
+    // Five runs under strict adjacency: {0,1}, {10}, {20}, {30}, {40,41}.
+    const std::vector<std::int64_t> indices = {0, 1, 10, 20, 30, 40, 41};
+    RemoteStore remote(inner, options);
+    auto blobs = remote.tryReadMany(requestsFor(indices));
+    ASSERT_EQ(blobs.size(), indices.size());
+    for (std::size_t i = 0; i < indices.size(); ++i)
+        EXPECT_EQ(blobs[i].value(), inner->read(indices[i]))
+            << "slot " << i;
+    // min(5 runs, 3 slots) on the wire at once; the two runs left
+    // over each waited for a slot to come back to the call.
+    EXPECT_EQ(remote.inflightHighWater(), 3);
+    EXPECT_EQ(remote.connectionWaits(), 2u);
+    // Overlap moves when bytes land, not what the model charges.
+    EXPECT_EQ(remote.roundTrips(), 5u);
+    EXPECT_EQ(remote.coalescedReads(), 4u);
+    EXPECT_EQ(remote.bytesTransferred(), 7 * inner->blobSize(0));
+    EXPECT_EQ(remote.modelledDelayNs(), 5 * options.rtt);
+
+    // Fewer runs than slots: every run is on the wire at once.
+    RemoteStore wide(inner, options);
+    EXPECT_EQ(wide.tryReadMany(requestsFor({3, 30})).size(), 2u);
+    EXPECT_EQ(wide.inflightHighWater(), 2);
+    EXPECT_EQ(wide.connectionWaits(), 0u);
+}
+
+TEST(RemoteStore, ConcurrentMultiRunCallsShareThePool)
+{
+    // Four threads, each with one call of eight runs, on three slots:
+    // the gate never hands out more than max_inflight, every call gets
+    // its own bytes back, and the accounting adds up across callers.
+    auto inner = makeStore(128);
+    RemoteStoreOptions options;
+    options.rtt = 200 * kMicrosecond;
+    options.bytes_per_ns = 0.0;
+    options.max_inflight = 3;
+    RemoteStore remote(inner, options);
+
+    std::vector<std::thread> callers;
+    for (int t = 0; t < 4; ++t)
+        callers.emplace_back([&, t] {
+            std::vector<std::int64_t> indices;
+            for (int r = 0; r < 8; ++r)
+                indices.push_back(t + 16 * r); // no two adjacent
+            auto blobs = remote.tryReadMany(requestsFor(indices));
+            ASSERT_EQ(blobs.size(), indices.size());
+            for (std::size_t i = 0; i < indices.size(); ++i)
+                EXPECT_EQ(blobs[i].value(), inner->read(indices[i]));
+        });
+    for (std::thread &caller : callers)
+        caller.join();
+    EXPECT_LE(remote.inflightHighWater(), 3);
+    EXPECT_EQ(remote.roundTrips(), 32u);
+    EXPECT_EQ(remote.modelledDelayNs(), 32 * options.rtt);
+    EXPECT_EQ(remote.bytesTransferred(), 32 * inner->blobSize(0));
+}
+
+TEST(RemoteStore, InflightMetricsTrackThePool)
+{
+    metrics::ScopedEnable enable;
+    auto &registry = metrics::MetricsRegistry::instance();
+    registry.reset();
+
+    auto inner = makeStore(16);
+    RemoteStoreOptions options;
+    options.rtt = 0;
+    options.bytes_per_ns = 0.0;
+    options.max_inflight = 2;
+    RemoteStore remote(inner, options);
+    EXPECT_EQ(remote.tryReadMany(requestsFor({0, 4, 8, 12})).size(), 4u);
+
+    // Every slot is back once the call returns; the counter mirrors
+    // connectionWaits().
+    EXPECT_EQ(registry.gauge(pipeline::kRemoteInflightMetric)->value(), 0);
+    EXPECT_EQ(
+        registry.counter(pipeline::kRemoteConnectionWaitsMetric)->value(),
+        remote.connectionWaits());
+    EXPECT_EQ(remote.connectionWaits(), 2u);
+    registry.reset();
+}
+
+TEST(RemoteStore, LateRunTimesOutWhileTheCallsOtherRunsSucceed)
+{
+    // Blob 0 is 1 MiB: at 0.1 B/ns its transfer alone is ~10.5 ms,
+    // past the 5 ms deadline. The 64-byte runs finish in ~1 ms.
+    auto inner = makeStore(32);
+    auto big = std::make_shared<InMemoryStore>();
+    std::string large = "blob-big-";
+    large.resize(1 << 20, 'x');
+    big->add(std::move(large));
+    for (std::int64_t i = 1; i < inner->size(); ++i)
+        big->add(inner->read(i));
+
+    RemoteStoreOptions options;
+    options.rtt = kMillisecond;
+    options.bytes_per_ns = 0.1;
+    options.max_inflight = 4;
+    options.deadline = 5 * kMillisecond;
+    RemoteStore remote(big, options);
+
+    const TimeNs start = SteadyClock::instance().now();
+    auto blobs = remote.tryReadMany(requestsFor({10, 0, 20}));
+    const TimeNs elapsed = SteadyClock::instance().now() - start;
+    ASSERT_EQ(blobs.size(), 3u);
+    EXPECT_EQ(blobs[0].value(), big->read(10));
+    ASSERT_FALSE(blobs[1].ok());
+    EXPECT_EQ(blobs[1].error().code, ErrorCode::kTimeout);
+    EXPECT_EQ(blobs[2].value(), big->read(20));
+    // The late run used its time up to the deadline.
+    EXPECT_GE(elapsed, options.deadline);
+    EXPECT_EQ(remote.timeouts(), 1u);
+    EXPECT_EQ(remote.roundTrips(), 2u);
+    EXPECT_EQ(remote.bytesTransferred(), 2 * big->blobSize(10));
+    EXPECT_EQ(remote.inflightHighWater(), 3);
+}
+
+TEST(RemoteStore, RunSplittingSizesOnlyGapsThatMayJoin)
+{
+    /** Counts blobSize() calls on the way through. */
+    class CountingStore : public pipeline::BlobStore
+    {
+      public:
+        explicit CountingStore(std::shared_ptr<InMemoryStore> inner)
+            : inner_(std::move(inner))
+        {
+        }
+        std::int64_t size() const override { return inner_->size(); }
+        std::string read(std::int64_t index) const override
+        {
+            return inner_->read(index);
+        }
+        std::uint64_t blobSize(std::int64_t index) const override
+        {
+            ++size_calls;
+            return inner_->blobSize(index);
+        }
+        mutable std::atomic<std::uint64_t> size_calls{0};
+
+      private:
+        std::shared_ptr<InMemoryStore> inner_;
+    };
+
+    auto counting = std::make_shared<CountingStore>(makeStore(100000, 8));
+    RemoteStoreOptions options;
+    options.rtt = 0;
+    options.bytes_per_ns = 0.0;
+    options.max_coalesce_gap = 2;
+    RemoteStore remote(counting, options);
+
+    // Far apart: each index is its own run and is sized once.
+    const std::vector<std::int64_t> far = {99999, 0, 50000, 25000};
+    auto blobs = remote.tryReadMany(requestsFor(far));
+    ASSERT_EQ(blobs.size(), far.size());
+    for (std::size_t i = 0; i < far.size(); ++i)
+        EXPECT_TRUE(blobs[i].ok()) << "slot " << i;
+    EXPECT_EQ(remote.roundTrips(), far.size());
+    EXPECT_LE(counting->size_calls.load(), far.size());
+
+    // A joinable gap is sized blob by blob: 7 + {8, 9, 10}.
+    counting->size_calls = 0;
+    EXPECT_EQ(remote.tryReadMany(requestsFor({7, 10})).size(), 2u);
+    EXPECT_EQ(remote.roundTrips(), far.size() + 1);
+    EXPECT_LE(counting->size_calls.load(), 4u);
 }
 
 TEST(RemoteStore, DeadlineMissesFailTheRunWithRetryableTimeout)

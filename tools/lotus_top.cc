@@ -248,6 +248,19 @@ render(const JsonValue &document, const std::string &source)
                                   dataflow::kReadAheadIssuedMetric)
                     : 0.0,
                 rateFor(document, dataflow::kReadAheadIssuedMetric));
+    // Remote connection pool: slots in use now, and runs that found
+    // none free. A climbing wait rate with every slot busy means the
+    // pool, not the store's latency, bounds the I/O stage.
+    std::printf("  remote pool: slots in use %.0f   slot waits %.0f "
+                "(%.1f/s)\n",
+                gauges != nullptr
+                    ? numberField(*gauges, pipeline::kRemoteInflightMetric)
+                    : 0.0,
+                counters != nullptr
+                    ? numberField(*counters,
+                                  pipeline::kRemoteConnectionWaitsMetric)
+                    : 0.0,
+                rateFor(document, pipeline::kRemoteConnectionWaitsMetric));
 
     // Hardware-counter headline: measured per-thread PMU deltas over
     // fetch spans (lotus_pmu_*). All-zero counters mean the run used
