@@ -1256,8 +1256,8 @@ main(int argc, char **argv)
         std::int64_t budget;
         std::string dir;
     };
-    // 4x: headroom over shard-hash imbalance, so the oversized case
-    // really holds every sample resident (zero warm misses).
+    // 4x: well above the working set, so the oversized case really
+    // holds every sample resident (zero warm misses).
     const BudgetCase cases[] = {
         {"oversized", dataflow::CachePolicy::kMemory, 4 * working_set, {}},
         {"tight", dataflow::CachePolicy::kMemory, working_set / 2, {}},

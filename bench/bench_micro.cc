@@ -353,8 +353,9 @@ measureStoreEpochNs(std::shared_ptr<const lotus::pipeline::BlobStore> store)
 }
 
 /**
- * Buffer-pool behaviour over synchronous loader epochs with batch
- * recycling: after the warm-up epoch the decode -> collate sample
+ * Buffer-pool behaviour over synchronous loader epochs: each consumed
+ * batch is dropped, so its storage returns to the pool's shared
+ * freelists. After the warm-up epoch the decode -> collate sample
  * path should run entirely out of the pool (zero misses).
  */
 memory::BufferPool::Stats
@@ -370,18 +371,13 @@ measurePoolSteadyState(const std::string &blob)
 
     const auto epoch = [&loader] {
         loader.startEpoch();
-        while (auto batch = loader.next())
-            loader.recycle(std::move(*batch));
+        while (loader.next().has_value()) {
+        }
     };
     epoch(); // warm-up: populates the freelists
     const auto warmed = pool.stats();
     epoch(); // steady state
-    const auto after = pool.stats();
-    memory::BufferPool::Stats delta;
-    delta.hits = after.hits - warmed.hits;
-    delta.misses = after.misses - warmed.misses;
-    delta.cached_bytes = after.cached_bytes;
-    return delta;
+    return pool.stats() - warmed;
 }
 
 int

@@ -32,13 +32,6 @@ SampleCache::SampleCache(const CacheConfig &config)
     LOTUS_ASSERT(config.budget_bytes > 0,
                  "cache budget must be positive (validated by the "
                  "DataLoader)");
-    LOTUS_ASSERT(config.shards > 0, "cache needs at least one shard");
-    shard_budget_ = config.budget_bytes / config.shards;
-    if (shard_budget_ <= 0)
-        shard_budget_ = 1;
-    shards_.reserve(static_cast<std::size_t>(config.shards));
-    for (int i = 0; i < config.shards; ++i)
-        shards_.push_back(std::make_unique<Shard>());
     if (!config.materialize_dir.empty())
         disk_ = std::make_unique<MaterializeStore>(config.materialize_dir,
                                                    config.fingerprint);
@@ -61,10 +54,22 @@ SampleCache::sampleBytes(const pipeline::Sample &sample)
            sample.data.byteSize();
 }
 
-SampleCache::Shard &
-SampleCache::shardFor(const CacheKey &key) const
+SampleCache::Stripe &
+SampleCache::stripeFor(const CacheKey &key) const
 {
-    return *shards_[key.hash() % shards_.size()];
+    return stripes_[key.hash() % kStripes];
+}
+
+bool
+SampleCache::reserve(std::int64_t bytes)
+{
+    std::int64_t resident = raw_.bytes.load(std::memory_order_relaxed);
+    do {
+        if (resident + bytes > budget_bytes_)
+            return false;
+    } while (!raw_.bytes.compare_exchange_weak(resident, resident + bytes,
+                                               std::memory_order_relaxed));
+    return true;
 }
 
 void
@@ -87,11 +92,11 @@ SampleCache::logEvent(pipeline::PipelineContext &ctx, const char *what,
 std::optional<pipeline::Sample>
 SampleCache::lookup(const CacheKey &key, pipeline::PipelineContext &ctx)
 {
-    Shard &shard = shardFor(key);
+    Stripe &stripe = stripeFor(key);
     {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        const auto it = shard.entries.find(key);
-        if (it != shard.entries.end()) {
+        std::lock_guard<std::mutex> lock(stripe.mutex);
+        const auto it = stripe.entries.find(key);
+        if (it != stripe.entries.end()) {
             // Deep clone: the caller's random suffix mutates the sample
             // in place, so it must never touch the resident master
             // copy. The copy is pooled (freelist pop + memcpy).
@@ -135,22 +140,20 @@ SampleCache::insertMemory(const CacheKey &key,
                           pipeline::PipelineContext &ctx)
 {
     const auto bytes = static_cast<std::int64_t>(sampleBytes(sample));
-    Shard &shard = shardFor(key);
+    Stripe &stripe = stripeFor(key);
     {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        if (shard.entries.count(key) != 0)
+        std::lock_guard<std::mutex> lock(stripe.mutex);
+        if (stripe.entries.count(key) != 0)
             return; // Raced with another worker inserting the same key.
-        if (shard.bytes + bytes <= shard_budget_) {
-            shard.entries.emplace(key, sample); // Pooled deep copy.
-            shard.bytes += bytes;
-            raw_.bytes.fetch_add(bytes, std::memory_order_relaxed);
+        if (reserve(bytes)) {
+            stripe.entries.emplace(key, sample); // Pooled deep copy.
             bytes_metric_->add(bytes);
             raw_.inserts.fetch_add(1, std::memory_order_relaxed);
             inserts_metric_->add(1);
             return;
         }
     }
-    // Fill once: a full shard keeps what it holds.
+    // Fill once: a full cache keeps what it holds.
     raw_.rejects.fetch_add(1, std::memory_order_relaxed);
     rejects_metric_->add(1);
     logEvent(ctx, "reject", key.sample_index);
@@ -174,9 +177,9 @@ bool
 SampleCache::holds(const CacheKey &key) const
 {
     {
-        Shard &shard = shardFor(key);
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        if (shard.entries.count(key) != 0)
+        Stripe &stripe = stripeFor(key);
+        std::lock_guard<std::mutex> lock(stripe.mutex);
+        if (stripe.entries.count(key) != 0)
             return true;
     }
     return disk_ != nullptr && disk_->contains(key.sample_index);

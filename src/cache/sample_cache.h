@@ -10,17 +10,21 @@
  *  - keyed on (dataset id, sample index, prefix fingerprint), so a
  *    reconfigured pipeline or a second dataset never serves stale
  *    entries;
- *  - fill once, never evict: an entry is admitted only while its
- *    shard has budget left, and stays until the cache is destroyed.
+ *  - fill once, never evict: an entry is admitted only while the
+ *    cache has budget left, and stays until the cache is destroyed.
  *    A map-style epoch looks up every index once in a fresh
  *    permutation, so recency predicts nothing and an evicting policy
  *    only churns; keeping the first entries that fit serves a steady
  *    budget/working-set share of every warm epoch (CoorDL's MinIO
  *    cache). It also makes residency monotone, so the loader can
  *    leave resident samples out of an epoch's read-ahead plan;
- *  - sharded: the key hash picks a shard, each shard is an
- *    independently locked map with its own slice of the byte budget,
- *    so multi-worker loaders do not serialize on one lock;
+ *  - one global byte budget: an admission reserves its bytes with one
+ *    compare-and-swap on the resident total, so resident bytes never
+ *    exceed budget_bytes, not even for an instant, and no slice of
+ *    the budget sits idle in a stripe that happens to fill slower;
+ *  - lock-striped: the key hash picks one of kStripes independently
+ *    locked maps, so multi-worker loaders do not serialize on one
+ *    lock (the stripes split the locking, not the budget);
  *  - storage is pooled (memory::BufferPool via Image/Tensor copies),
  *    so a warm hit's deep clone costs a freelist pop + memcpy, not a
  *    heap allocation;
@@ -37,6 +41,7 @@
 #ifndef LOTUS_CACHE_SAMPLE_CACHE_H
 #define LOTUS_CACHE_SAMPLE_CACHE_H
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -44,7 +49,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "cache/materialize.h"
 #include "metrics/metrics.h"
@@ -81,9 +85,8 @@ struct CacheKeyHash
 
 struct CacheConfig
 {
-    /** Total in-memory budget, split evenly across shards. */
+    /** Total in-memory budget (one pool shared by every key). */
     std::int64_t budget_bytes = 0;
-    int shards = 8;
     /** Non-empty enables write-through disk materialization. */
     std::string materialize_dir;
     /** Prefix fingerprint of the producing pipeline (binds spill
@@ -103,12 +106,12 @@ class SampleCache
         /** Always 0: nothing is evicted. Kept for readers that report
          *  evictions per epoch (perfbench's cache.evictions_per_epoch). */
         std::uint64_t evictions = 0;
-        /** Admissions refused because the entry's shard was full. */
+        /** Admissions refused because the budget was full. */
         std::uint64_t rejects = 0;
         std::uint64_t disk_hits = 0;
         std::uint64_t disk_spills = 0;
         std::uint64_t disk_corrupt = 0;
-        /** Bytes currently resident in memory shards. */
+        /** Bytes currently resident in memory (<= budget_bytes). */
         std::int64_t bytes = 0;
     };
 
@@ -127,8 +130,8 @@ class SampleCache
                                            pipeline::PipelineContext &ctx);
 
     /**
-     * Admit a prefix-stage sample iff its shard's resident bytes plus
-     * the sample's stay within the shard budget; otherwise count a
+     * Admit a prefix-stage sample iff the cache's resident bytes plus
+     * the sample's stay within budget_bytes; otherwise count a
      * reject. Nothing already resident is ever displaced. Write-through
      * spills to disk when materialization is on, admitted or not.
      */
@@ -146,30 +149,34 @@ class SampleCache
     Stats stats() const;
 
     std::int64_t budgetBytes() const { return budget_bytes_; }
-    int shardCount() const { return static_cast<int>(shards_.size()); }
     bool materializing() const { return disk_ != nullptr; }
 
     /** Payload bytes a cached copy of @p sample occupies. */
     static std::size_t sampleBytes(const pipeline::Sample &sample);
 
   private:
-    struct Shard
+    /** Lock stripes: a fixed count, enough that a few workers rarely
+     *  meet on one lock. */
+    static constexpr std::size_t kStripes = 8;
+
+    struct Stripe
     {
         std::mutex mutex;
         std::unordered_map<CacheKey, pipeline::Sample, CacheKeyHash> entries;
-        std::int64_t bytes = 0;
     };
 
-    Shard &shardFor(const CacheKey &key) const;
-    /** Insert into the in-memory shard only (no disk write). */
+    Stripe &stripeFor(const CacheKey &key) const;
+    /** Reserve @p bytes of the budget, or return false (one CAS loop
+     *  on the resident total). */
+    bool reserve(std::int64_t bytes);
+    /** Insert into memory only (no disk write). */
     void insertMemory(const CacheKey &key, const pipeline::Sample &sample,
                       pipeline::PipelineContext &ctx);
     void logEvent(pipeline::PipelineContext &ctx, const char *what,
                   std::int64_t sample_index) const;
 
     std::int64_t budget_bytes_;
-    std::int64_t shard_budget_;
-    std::vector<std::unique_ptr<Shard>> shards_;
+    mutable std::array<Stripe, kStripes> stripes_;
     std::unique_ptr<MaterializeStore> disk_;
 
     struct AtomicStats

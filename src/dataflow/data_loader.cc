@@ -49,16 +49,11 @@ validateOptions(const DataLoaderOptions &options)
         LOTUS_FATAL("DataLoaderOptions: prefetch_factor x num_workers "
                     "overflows (%d x %d)",
                     options.prefetch_factor, options.num_workers);
-    if (options.cache_policy != CachePolicy::kNone) {
-        if (options.cache_budget_bytes <= 0)
-            LOTUS_FATAL("DataLoaderOptions: cache_budget_bytes must be "
-                        "> 0 when caching (got %lld)",
-                        static_cast<long long>(options.cache_budget_bytes));
-        if (options.cache_shards <= 0)
-            LOTUS_FATAL(
-                "DataLoaderOptions: cache_shards must be > 0 (got %d)",
-                options.cache_shards);
-    }
+    if (options.cache_policy != CachePolicy::kNone &&
+        options.cache_budget_bytes <= 0)
+        LOTUS_FATAL("DataLoaderOptions: cache_budget_bytes must be "
+                    "> 0 when caching (got %lld)",
+                    static_cast<long long>(options.cache_budget_bytes));
     if (options.cache_policy == CachePolicy::kMaterialize &&
         options.materialize_dir.empty())
         LOTUS_FATAL("DataLoaderOptions: CachePolicy::kMaterialize needs "
@@ -94,7 +89,6 @@ DataLoader::DataLoader(std::shared_ptr<const pipeline::Dataset> dataset,
     if (options_.cache_policy != CachePolicy::kNone) {
         cache::CacheConfig config;
         config.budget_bytes = options_.cache_budget_bytes;
-        config.shards = options_.cache_shards;
         if (options_.cache_policy == CachePolicy::kMaterialize) {
             const auto split = dataset_->cacheableSplit();
             config.materialize_dir = options_.materialize_dir;
@@ -218,8 +212,6 @@ DataLoader::reconfigure(const LoaderReconfig &next)
     validateOptions(candidate);
     shutdownWorkers();
     options_ = candidate;
-    if (options_.num_workers > 0)
-        spare_ = tensor::Tensor(); // only a synchronous fetch reuses it
     rebuildReadAhead();
 }
 
@@ -411,8 +403,7 @@ DataLoader::fetchInline(std::int64_t wanted)
                                    options_.max_refill_attempts};
         Result<Batch> fetched = fetcher_->tryFetch(
             wanted, batches_[static_cast<std::size_t>(wanted)], ctx, errors,
-            epoch_seed_base_, std::move(spare_));
-        spare_ = tensor::Tensor();
+            epoch_seed_base_);
         if (!fetched.ok()) {
             msg.error = fetched.takeError();
             return msg;
@@ -485,17 +476,6 @@ DataLoader::receive(std::int64_t wanted)
     wait_span.finish();
     pinBatch(msg.batch);
     return msg;
-}
-
-void
-DataLoader::recycle(Batch &&batch)
-{
-    // Only the synchronous fetch collates into a spare; with workers
-    // the tensor drops here and its pages return to the buffer pool.
-    tensor::Tensor data = std::move(batch.data);
-    if (options_.num_workers == 0)
-        spare_ = std::move(data);
-    batch.labels.clear();
 }
 
 std::optional<Batch>

@@ -118,10 +118,9 @@ struct DataLoaderOptions
     Schedule schedule = Schedule::kRoundRobin;
     /** Decoded-sample caching mode (see CachePolicy). */
     CachePolicy cache_policy = CachePolicy::kNone;
-    /** In-memory cache budget; must be > 0 when caching is on. */
+    /** In-memory cache budget, one pool for every sample; must be
+     *  > 0 when caching is on. */
     std::int64_t cache_budget_bytes = 0;
-    /** Cache lock shards; must be > 0 when caching is on. */
-    int cache_shards = 8;
     /** Spill directory for kMaterialize (created if absent; claimed
      *  exclusively — two live loaders sharing one dir is fatal). */
     std::string materialize_dir;
@@ -220,16 +219,6 @@ class DataLoader
      * explicit startEpoch() to run again.
      */
     std::optional<pipeline::Batch> next();
-
-    /**
-     * Return a consumed batch's storage for reuse. In synchronous
-     * mode (num_workers == 0) the next fetch collates directly into
-     * the recycled tensor when shapes match, making steady-state
-     * epochs allocation-free on the batch path. With workers the
-     * tensor is simply released here and its pages return to the
-     * buffer pool instead.
-     */
-    void recycle(pipeline::Batch &&batch);
 
     const DataLoaderOptions &options() const { return options_; }
 
@@ -349,9 +338,6 @@ class DataLoader
 
     /** Fetch rng for the synchronous (num_workers=0) path. */
     Rng sync_rng_{0};
-    /** Recycled batch tensor donated to the next synchronous fetch
-     *  (always empty with workers). */
-    tensor::Tensor spare_;
     Metrics metrics_;
 };
 

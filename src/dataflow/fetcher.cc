@@ -137,8 +137,8 @@ Result<pipeline::Batch>
 Fetcher::tryFetch(std::int64_t batch_id,
                   const std::vector<std::int64_t> &indices,
                   pipeline::PipelineContext &ctx,
-                  const ErrorHandling &errors, std::uint64_t seed_base,
-                  tensor::Tensor reuse) const
+                  const ErrorHandling &errors,
+                  std::uint64_t seed_base) const
 {
     BatchBuild build;
     initBuild(build, batch_id, indices, seed_base, errors);
@@ -153,27 +153,25 @@ Fetcher::tryFetch(std::int64_t batch_id,
             break;
     }
     ctx.sample_index = -1;
-    return finishBuild(build, ctx, std::move(reuse));
+    return finishBuild(build, ctx);
 }
 
 Result<pipeline::Batch>
-Fetcher::finishBuild(BatchBuild &build, pipeline::PipelineContext &ctx,
-                     tensor::Tensor reuse) const
+Fetcher::finishBuild(BatchBuild &build,
+                     pipeline::PipelineContext &ctx) const
 {
     for (std::optional<Error> &error : build.errors) {
         if (error.has_value())
             return std::move(*error);
     }
     ctx.batch_id = build.batch_id;
-    return collateBatch(build.batch_id, std::move(build.samples), ctx,
-                        std::move(reuse));
+    return collateBatch(build.batch_id, std::move(build.samples), ctx);
 }
 
 pipeline::Batch
 Fetcher::collateBatch(std::int64_t batch_id,
                       std::vector<pipeline::Sample> samples,
-                      pipeline::PipelineContext &ctx,
-                      tensor::Tensor reuse) const
+                      pipeline::PipelineContext &ctx) const
 {
     trace::SpanTimer span(ctx.logger, trace::RecordKind::TransformOp);
     span.record().op_name = pipeline::Collate::kOpName;
@@ -183,8 +181,7 @@ Fetcher::collateBatch(std::int64_t batch_id,
     {
         metrics::ScopedTimer collate_timer(collate_ns_);
         hwcount::OpTagScope op_scope(collate_tag_);
-        batch = collate_->collateInto(std::move(samples),
-                                      std::move(reuse));
+        batch = collate_->collate(std::move(samples));
     }
     span.finish();
     batch.batch_id = batch_id;

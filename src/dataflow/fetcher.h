@@ -60,9 +60,7 @@ class Fetcher
      * Produce the batch for @p indices. ctx supplies the tracer, the
      * worker identity and RNG; per-op [T3] records come from the
      * dataset's Compose, and the collation is logged as a [T3] op
-     * named "Collate". @p reuse optionally donates a recycled batch
-     * tensor's storage to the collation (see Collate::collateInto);
-     * pass a default-constructed tensor to allocate fresh.
+     * named "Collate".
      *
      * Recoverable sample errors are resolved by @p errors through
      * resolveTask (dataflow/task_runner.h), slot by slot in order:
@@ -81,8 +79,7 @@ class Fetcher
                                      const std::vector<std::int64_t> &indices,
                                      pipeline::PipelineContext &ctx,
                                      const ErrorHandling &errors,
-                                     std::uint64_t seed_base,
-                                     tensor::Tensor reuse = {}) const;
+                                     std::uint64_t seed_base) const;
 
     /**
      * One attempt at @p task's current candidate: reseed ctx.rng with
@@ -100,8 +97,7 @@ class Fetcher
      * else the collated batch. Consumes the build's samples/errors.
      */
     Result<pipeline::Batch> finishBuild(BatchBuild &build,
-                                        pipeline::PipelineContext &ctx,
-                                        tensor::Tensor reuse = {}) const;
+                                        pipeline::PipelineContext &ctx) const;
 
     /**
      * Collate already-fetched samples into the batch for @p batch_id,
@@ -109,8 +105,7 @@ class Fetcher
      */
     pipeline::Batch collateBatch(std::int64_t batch_id,
                                  std::vector<pipeline::Sample> samples,
-                                 pipeline::PipelineContext &ctx,
-                                 tensor::Tensor reuse = {}) const;
+                                 pipeline::PipelineContext &ctx) const;
 
     const pipeline::Dataset &dataset() const { return *dataset_; }
 

@@ -3,6 +3,7 @@
 #include "common/strings.h"
 #include "common/thread_util.h"
 #include "dataflow/fetcher.h"
+#include "dataflow/task_runner.h"
 
 namespace lotus::dataflow {
 
@@ -45,16 +46,14 @@ IterableDataLoader::workerLoop(int worker_id)
 {
     setCurrentThreadName(strFormat("stream-%d", worker_id));
     const std::uint32_t pid = currentTid();
-    // Mix the restart counter into the seed the same way the
-    // map-style loader mixes its epoch, so augmentation streams
-    // differ across epochs (epoch 0 keeps the historical seeds).
+    // Mix the restart counter into the seed through the map-style
+    // loader's epochSeedBase, so augmentation streams differ across
+    // epochs (epoch 0 keeps the historical seeds).
     // Unlike the map-style loader, seeding here stays per-(worker,
     // epoch): a sharded stream has no stable global sample index to
     // key the per-sample reseeding contract on, so iterable results
     // remain a function of the shard layout (= worker count).
-    constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ull;
-    Rng rng((options_.seed + kGolden * static_cast<std::uint64_t>(epoch_)) *
-                kGolden +
+    Rng rng(epochSeedBase(options_.seed, epoch_) +
             static_cast<std::uint64_t>(worker_id) + 1);
 
     auto stream = dataset_->shard(worker_id, options_.num_workers);

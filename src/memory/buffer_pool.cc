@@ -14,10 +14,6 @@ namespace {
 
 /** 2^8 .. 2^26 pooled classes. */
 constexpr int kNumClasses = 19;
-/** Per-class buffers a thread keeps before spilling to central. */
-constexpr std::size_t kLocalCap = 8;
-/** Per-class buffers the central freelist keeps before freeing. */
-constexpr std::size_t kCentralCap = 64;
 
 /** Size class for a request, or -1 for oversize (heap-direct). */
 inline int
@@ -70,27 +66,23 @@ struct PoolMetrics
     }
 };
 
-struct ThreadCache
-{
-    std::vector<void *> lists[kNumClasses];
-};
-
-// The cache pointer itself is trivially destructible, so it stays
-// readable during thread teardown: once the owner's destructor has
-// flushed the cache to central, late releases from other
-// thread-local destructors fall through to the central freelist.
-thread_local ThreadCache *t_cache = nullptr;
-thread_local bool t_cache_dead = false;
-
 } // namespace
 
 struct BufferPool::Impl
 {
     std::mutex mutex;
-    std::vector<void *> central[kNumClasses];
+    /** The one freelist per class, shared by every thread. */
+    std::vector<void *> freelist[kNumClasses];
     std::atomic<std::uint64_t> hits{0};
     std::atomic<std::uint64_t> misses{0};
     std::atomic<std::int64_t> cached_bytes{0};
+
+    Impl()
+    {
+        // A push never allocates, so release() stays noexcept.
+        for (auto &list : freelist)
+            list.reserve(kCentralCap);
+    }
 
     void
     addCached(std::int64_t delta)
@@ -100,86 +92,7 @@ struct BufferPool::Impl
             delta;
         PoolMetrics::instance().bytes->set(now);
     }
-
-    /** Park a buffer on the central freelist (or free it past cap). */
-    void
-    centralPut(int cls, void *ptr)
-    {
-        {
-            std::lock_guard lock(mutex);
-            auto &list = central[cls];
-            if (list.size() < kCentralCap) {
-                list.push_back(ptr);
-                ptr = nullptr;
-            }
-        }
-        if (ptr == nullptr) {
-            addCached(static_cast<std::int64_t>(classBytes(cls)));
-        } else {
-            rawFree(ptr);
-        }
-    }
-
-    void *
-    centralGet(int cls)
-    {
-        void *ptr = nullptr;
-        {
-            std::lock_guard lock(mutex);
-            auto &list = central[cls];
-            if (!list.empty()) {
-                ptr = list.back();
-                list.pop_back();
-            }
-        }
-        if (ptr != nullptr)
-            addCached(-static_cast<std::int64_t>(classBytes(cls)));
-        return ptr;
-    }
 };
-
-namespace {
-
-/** Owns the calling thread's cache; flushes to central on exit so a
- *  re-spawned worker (next epoch) warms up from these buffers. */
-struct ThreadCacheOwner
-{
-    ThreadCache cache;
-    BufferPool::Impl *impl;
-
-    explicit ThreadCacheOwner(BufferPool::Impl *pool_impl)
-        : impl(pool_impl)
-    {
-        t_cache = &cache;
-    }
-
-    ~ThreadCacheOwner()
-    {
-        for (int cls = 0; cls < kNumClasses; ++cls) {
-            for (void *ptr : cache.lists[cls]) {
-                // Buffers move freelist-to-freelist: cached bytes are
-                // only adjusted when centralPut frees past the cap.
-                impl->addCached(
-                    -static_cast<std::int64_t>(classBytes(cls)));
-                impl->centralPut(cls, ptr);
-            }
-            cache.lists[cls].clear();
-        }
-        t_cache = nullptr;
-        t_cache_dead = true;
-    }
-};
-
-ThreadCache *
-threadCache(BufferPool::Impl *impl)
-{
-    if (t_cache == nullptr && !t_cache_dead) {
-        thread_local ThreadCacheOwner owner(impl);
-    }
-    return t_cache;
-}
-
-} // namespace
 
 BufferPool::BufferPool() : impl_(new Impl) {}
 
@@ -207,28 +120,24 @@ BufferPool::acquire(std::size_t bytes)
 {
     const PoolMetrics &m = PoolMetrics::instance();
     const int cls = classIndex(bytes);
-    if (cls < 0) {
-        impl_->misses.fetch_add(1, std::memory_order_relaxed);
-        m.misses->add(1);
-        return rawAlloc(capacityFor(bytes));
+    void *ptr = nullptr;
+    if (cls >= 0) {
+        std::lock_guard lock(impl_->mutex);
+        auto &list = impl_->freelist[cls];
+        if (!list.empty()) {
+            ptr = list.back();
+            list.pop_back();
+        }
     }
-    ThreadCache *cache = threadCache(impl_);
-    if (cache != nullptr && !cache->lists[cls].empty()) {
-        void *ptr = cache->lists[cls].back();
-        cache->lists[cls].pop_back();
+    if (ptr != nullptr) {
         impl_->addCached(-static_cast<std::int64_t>(classBytes(cls)));
-        impl_->hits.fetch_add(1, std::memory_order_relaxed);
-        m.hits->add(1);
-        return ptr;
-    }
-    if (void *ptr = impl_->centralGet(cls); ptr != nullptr) {
         impl_->hits.fetch_add(1, std::memory_order_relaxed);
         m.hits->add(1);
         return ptr;
     }
     impl_->misses.fetch_add(1, std::memory_order_relaxed);
     m.misses->add(1);
-    return rawAlloc(classBytes(cls));
+    return rawAlloc(capacityFor(bytes));
 }
 
 void
@@ -237,17 +146,18 @@ BufferPool::release(void *ptr, std::size_t bytes) noexcept
     if (ptr == nullptr)
         return;
     const int cls = classIndex(bytes);
-    if (cls < 0) {
-        rawFree(ptr);
-        return;
+    if (cls >= 0) {
+        std::lock_guard lock(impl_->mutex);
+        auto &list = impl_->freelist[cls];
+        if (list.size() < kCentralCap) {
+            list.push_back(ptr);
+            ptr = nullptr;
+        }
     }
-    ThreadCache *cache = threadCache(impl_);
-    if (cache != nullptr && cache->lists[cls].size() < kLocalCap) {
-        cache->lists[cls].push_back(ptr);
+    if (ptr == nullptr)
         impl_->addCached(static_cast<std::int64_t>(classBytes(cls)));
-        return;
-    }
-    impl_->centralPut(cls, ptr);
+    else
+        rawFree(ptr); // oversize, or the class is at its cap
 }
 
 BufferPool::Stats
@@ -265,27 +175,16 @@ BufferPool::stats() const
 void
 BufferPool::trim()
 {
-    ThreadCache *cache = threadCache(impl_);
-    if (cache != nullptr) {
-        for (int cls = 0; cls < kNumClasses; ++cls) {
-            for (void *ptr : cache->lists[cls]) {
-                rawFree(ptr);
-                impl_->addCached(
-                    -static_cast<std::int64_t>(classBytes(cls)));
-            }
-            cache->lists[cls].clear();
-        }
-    }
     std::vector<void *> victims;
     {
         std::lock_guard lock(impl_->mutex);
         for (int cls = 0; cls < kNumClasses; ++cls) {
-            for (void *ptr : impl_->central[cls]) {
+            for (void *ptr : impl_->freelist[cls]) {
                 victims.push_back(ptr);
                 impl_->addCached(
                     -static_cast<std::int64_t>(classBytes(cls)));
             }
-            impl_->central[cls].clear();
+            impl_->freelist[cls].clear();
         }
     }
     for (void *ptr : victims)

@@ -11,12 +11,15 @@
  *
  *  - requests round up to power-of-two size classes (256 B .. 64 MiB;
  *    larger requests go straight to the heap and count as misses);
- *  - each thread owns a small per-class freelist cache, so the worker
- *    loop recycles buffers without any synchronization;
- *  - a mutex-guarded central freelist absorbs thread-cache overflow
- *    and the caches of exiting threads, which is what lets per-epoch
- *    DataLoader workers (spawned fresh every epoch) warm up from the
- *    previous epoch's buffers instead of the heap.
+ *  - one freelist per class, shared by every thread under one mutex,
+ *    is the only place a freed buffer waits (up to kCentralCap buffers
+ *    per class; past that a release frees to the heap). A buffer
+ *    freed on any thread is at once reusable on every other: a batch
+ *    allocated by a worker and dropped by the consumer feeds the next
+ *    worker's acquire, and per-epoch DataLoader workers (spawned
+ *    fresh every epoch) warm up from the previous epoch's buffers
+ *    instead of the heap. There are no per-thread caches, so no
+ *    thread can strand memory that the others would miss.
  *
  * Every pooled allocation is 64-byte aligned and carries at least
  * kSlackBytes of readable padding past the requested size, so SIMD
@@ -52,6 +55,10 @@ constexpr std::size_t kPoolAlignment = 64;
 constexpr std::size_t kMinClassBytes = 256;
 constexpr std::size_t kMaxClassBytes = std::size_t{1} << 26; // 64 MiB
 
+/** Buffers a size class's freelist keeps; a release past this frees
+ *  to the heap. */
+constexpr std::size_t kCentralCap = 64;
+
 class BufferPool
 {
   public:
@@ -62,7 +69,7 @@ class BufferPool
     {
         std::uint64_t hits = 0;
         std::uint64_t misses = 0;
-        /** Bytes currently parked in central + thread freelists. */
+        /** Bytes currently parked in the shared freelists. */
         std::uint64_t cached_bytes = 0;
 
         /** Counter delta since @p earlier (cached_bytes is a level,
@@ -94,8 +101,8 @@ class BufferPool
 
     Stats stats() const;
 
-    /** Drop every freelist (central and this thread's cache) back to
-     *  the heap; test isolation helper. */
+    /** Drop every freelist back to the heap; test isolation
+     *  helper. */
     void trim();
 
     struct Impl;

@@ -12,19 +12,6 @@ namespace lotus::pipeline {
 using hwcount::KernelId;
 using hwcount::KernelScope;
 
-namespace {
-
-/** True when @p reuse can hold a batch of @p dtype / @p shape. */
-bool
-reuseMatches(const tensor::Tensor &reuse, tensor::DType dtype,
-             const std::vector<std::int64_t> &shape)
-{
-    return !reuse.empty() && reuse.dtype() == dtype &&
-           reuse.shape() == shape;
-}
-
-} // namespace
-
 Batch
 Collate::collateInto(std::vector<Sample> samples, tensor::Tensor) const
 {
@@ -33,13 +20,6 @@ Collate::collateInto(std::vector<Sample> samples, tensor::Tensor) const
 
 Batch
 StackCollate::collate(std::vector<Sample> samples) const
-{
-    return collateInto(std::move(samples), tensor::Tensor());
-}
-
-Batch
-StackCollate::collateInto(std::vector<Sample> samples,
-                          tensor::Tensor reuse) const
 {
     LOTUS_ASSERT(!samples.empty(), "cannot collate an empty batch");
     Batch batch;
@@ -50,17 +30,7 @@ StackCollate::collateInto(std::vector<Sample> samples,
                      "collate needs tensor samples (missing ToTensor?)");
         tensors.push_back(&sample.data);
     }
-    const auto &first = samples.front().data;
-    std::vector<std::int64_t> batch_shape;
-    batch_shape.push_back(static_cast<std::int64_t>(samples.size()));
-    batch_shape.insert(batch_shape.end(), first.shape().begin(),
-                       first.shape().end());
-    if (reuseMatches(reuse, first.dtype(), batch_shape)) {
-        tensor::stackInto(tensors, reuse);
-        batch.data = std::move(reuse);
-    } else {
-        batch.data = tensor::stack(tensors);
-    }
+    batch.data = tensor::stack(tensors);
     batch.labels.reserve(samples.size());
     for (const auto &sample : samples)
         batch.labels.push_back(sample.label);
@@ -75,13 +45,6 @@ PadCollate::PadCollate(std::int64_t size_divisor)
 
 Batch
 PadCollate::collate(std::vector<Sample> samples) const
-{
-    return collateInto(std::move(samples), tensor::Tensor());
-}
-
-Batch
-PadCollate::collateInto(std::vector<Sample> samples,
-                        tensor::Tensor reuse) const
 {
     LOTUS_ASSERT(!samples.empty(), "cannot collate an empty batch");
     const std::size_t rank = samples.front().data.rank();
@@ -119,10 +82,7 @@ PadCollate::collateInto(std::vector<Sample> samples,
     batch_shape.insert(batch_shape.end(), max_shape.begin(),
                        max_shape.end());
     Batch batch;
-    if (reuseMatches(reuse, dtype, batch_shape))
-        batch.data = std::move(reuse);
-    else
-        batch.data = tensor::Tensor::uninitialized(dtype, batch_shape);
+    batch.data = tensor::Tensor::uninitialized(dtype, batch_shape);
 
     const std::size_t esize = tensor::dtypeSize(dtype);
     std::size_t item_bytes = esize;
@@ -130,8 +90,8 @@ PadCollate::collateInto(std::vector<Sample> samples,
         item_bytes *= static_cast<std::size_t>(extent);
 
     if (any_padding) {
-        // Zero the batch first so the gaps around each sample (and
-        // any stale recycled contents) read as padding.
+        // Zero the batch first so the gaps around each sample read
+        // as padding.
         KernelScope scope(KernelId::MemsetBulk);
         std::memset(batch.data.raw(), 0, batch.data.byteSize());
         scope.stats().bytes_written += batch.data.byteSize();

@@ -25,14 +25,13 @@ class Collate
     virtual Batch collate(std::vector<Sample> samples) const = 0;
 
     /**
-     * Like collate(), but may build the batch inside @p reuse's
-     * storage when its dtype and shape match the batch being formed
-     * (a recycled batch tensor from a previous iteration). The
-     * default implementation ignores @p reuse and forwards to
-     * collate(), so existing subclasses keep working unchanged.
+     * Forwards to collate() and ignores its tensor argument. Nothing
+     * in the library calls it; it stays only because perfbench's
+     * TimedCollate overrides it, and goes with the next change to
+     * perfbench.
      */
     virtual Batch collateInto(std::vector<Sample> samples,
-                              tensor::Tensor reuse) const;
+                              tensor::Tensor unused) const;
 };
 
 /** Stack equally shaped sample tensors along a new batch axis. */
@@ -40,8 +39,6 @@ class StackCollate : public Collate
 {
   public:
     Batch collate(std::vector<Sample> samples) const override;
-    Batch collateInto(std::vector<Sample> samples,
-                      tensor::Tensor reuse) const override;
 };
 
 /**
@@ -55,8 +52,6 @@ class PadCollate : public Collate
     explicit PadCollate(std::int64_t size_divisor = 0);
 
     Batch collate(std::vector<Sample> samples) const override;
-    Batch collateInto(std::vector<Sample> samples,
-                      tensor::Tensor reuse) const override;
 
   private:
     std::int64_t size_divisor_;

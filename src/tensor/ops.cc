@@ -294,20 +294,8 @@ padTo(const Tensor &input, const std::vector<std::int64_t> &target_shape)
     return out;
 }
 
-namespace {
-
-/** Batch shape for stacking @p count items of @p first's shape. */
-std::vector<std::int64_t>
-stackedShape(const Tensor &first, std::size_t count)
-{
-    std::vector<std::int64_t> shape;
-    shape.push_back(static_cast<std::int64_t>(count));
-    shape.insert(shape.end(), first.shape().begin(), first.shape().end());
-    return shape;
-}
-
-void
-stackIntoImpl(const std::vector<const Tensor *> &items, Tensor &out)
+Tensor
+stack(const std::vector<const Tensor *> &items)
 {
     LOTUS_ASSERT(!items.empty(), "cannot stack zero tensors");
     const Tensor &first = *items.front();
@@ -315,10 +303,10 @@ stackIntoImpl(const std::vector<const Tensor *> &items, Tensor &out)
         LOTUS_ASSERT(item->sameShape(first) && item->dtype() == first.dtype(),
                      "stack requires equal shapes and dtypes");
     }
-    LOTUS_ASSERT(out.dtype() == first.dtype() &&
-                     out.shape() == stackedShape(first, items.size()),
-                 "stack destination %s does not match",
-                 out.description().c_str());
+    std::vector<std::int64_t> shape;
+    shape.push_back(static_cast<std::int64_t>(items.size()));
+    shape.insert(shape.end(), first.shape().begin(), first.shape().end());
+    Tensor out = Tensor::uninitialized(first.dtype(), shape);
     KernelScope scope(KernelId::CollateCopy);
     const std::size_t item_bytes = first.byteSize();
     std::uint8_t *dst = out.raw();
@@ -329,19 +317,8 @@ stackIntoImpl(const std::vector<const Tensor *> &items, Tensor &out)
     scope.stats().bytes_read += item_bytes * items.size();
     scope.stats().bytes_written += item_bytes * items.size();
     scope.stats().items += items.size();
-}
-
-Tensor
-stackImpl(const std::vector<const Tensor *> &items)
-{
-    LOTUS_ASSERT(!items.empty(), "cannot stack zero tensors");
-    Tensor out = Tensor::uninitialized(
-        items.front()->dtype(), stackedShape(*items.front(), items.size()));
-    stackIntoImpl(items, out);
     return out;
 }
-
-} // namespace
 
 Tensor
 stack(const std::vector<Tensor> &items)
@@ -350,19 +327,7 @@ stack(const std::vector<Tensor> &items)
     ptrs.reserve(items.size());
     for (const auto &item : items)
         ptrs.push_back(&item);
-    return stackImpl(ptrs);
-}
-
-Tensor
-stack(const std::vector<const Tensor *> &items)
-{
-    return stackImpl(items);
-}
-
-void
-stackInto(const std::vector<const Tensor *> &items, Tensor &out)
-{
-    stackIntoImpl(items, out);
+    return stack(ptrs);
 }
 
 } // namespace lotus::tensor

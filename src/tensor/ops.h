@@ -85,10 +85,6 @@ Tensor stack(const std::vector<Tensor> &items);
 /** Stack via pointers (avoids copying the input vector). */
 Tensor stack(const std::vector<const Tensor *> &items);
 
-/** Stack into an existing batch tensor of shape [N, item...] (same
- *  dtype); lets collate reuse a recycled batch's storage. */
-void stackInto(const std::vector<const Tensor *> &items, Tensor &out);
-
 } // namespace lotus::tensor
 
 #endif // LOTUS_TENSOR_OPS_H

@@ -1,13 +1,15 @@
 /**
  * @file
  * BufferPool / PooledArray unit tests: size-class rounding, same-
- * pointer recycling, cross-thread returns, steady-state zero-miss
- * behaviour, and the container semantics Tensor/Image storage relies
- * on. Thread-safety of the pool itself is additionally exercised
- * under TSan via tools/run_tsan.sh.
+ * pointer recycling, cross-thread returns (one shared freelist, so a
+ * buffer freed on any thread is a hit on every other), the per-class
+ * cap, steady-state zero-miss behaviour, and the container semantics
+ * Tensor/Image storage relies on. Thread-safety of the pool itself is
+ * additionally exercised under TSan via tools/run_tsan.sh.
  */
 
 #include <cstring>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -57,8 +59,8 @@ TEST(BufferPoolTest, ReleaseThenAcquireRecyclesSamePointer)
     pool.trim();
     void *first = pool.acquire(4096);
     pool.release(first, 4096);
-    // Same class, same thread: the thread-local freelist must hand
-    // the buffer straight back.
+    // Same class, nothing in between: the class's freelist (a LIFO
+    // shared by every thread) must hand the buffer straight back.
     void *second = pool.acquire(4096);
     EXPECT_EQ(first, second);
     // A *different* class must not alias it.
@@ -86,25 +88,68 @@ TEST(BufferPoolTest, HitAndMissAccounting)
     EXPECT_EQ(pool.stats().cached_bytes, 0u);
 }
 
-TEST(BufferPoolTest, ExitingThreadDonatesCacheToCentral)
+TEST(BufferPoolTest, CrossThreadReleaseIsReusedWhileTheFreerLives)
 {
     auto &pool = BufferPool::instance();
     pool.trim();
-    // A worker thread allocates (miss), frees into its local cache,
-    // and exits; its cache must flush to the central freelist.
-    std::thread([&pool] {
-        void *ptr = pool.acquire(123456);
-        pool.release(ptr, 123456);
+    constexpr std::size_t kBytes = 123456;
+    constexpr int kBuffers = 4;
+    std::latch released(1);
+    std::latch done(1);
+    // Thread A frees buffers it allocated, then stays alive: nothing
+    // of it may hold them back from other threads.
+    std::thread freer([&] {
+        void *ptrs[kBuffers];
+        for (auto &ptr : ptrs)
+            ptr = pool.acquire(kBytes);
+        for (void *ptr : ptrs)
+            pool.release(ptr, kBytes);
+        released.count_down();
+        done.wait();
+    });
+    released.wait();
+    const auto before = pool.stats();
+    EXPECT_EQ(before.cached_bytes,
+              kBuffers * BufferPool::capacityFor(kBytes));
+    void *ptrs[kBuffers];
+    for (auto &ptr : ptrs)
+        ptr = pool.acquire(kBytes);
+    const auto delta = pool.stats() - before;
+    done.count_down();
+    freer.join();
+    EXPECT_EQ(delta.hits, static_cast<std::uint64_t>(kBuffers));
+    EXPECT_EQ(delta.misses, 0u);
+    for (void *ptr : ptrs)
+        pool.release(ptr, kBytes);
+    pool.trim();
+}
+
+TEST(BufferPoolTest, ReleasesOfAnExitedThreadStayReusableUpToTheCap)
+{
+    auto &pool = BufferPool::instance();
+    pool.trim();
+    constexpr std::size_t kBytes = 200000;
+    const std::size_t count = kCentralCap + 8;
+    std::vector<void *> ptrs(count);
+    for (auto &ptr : ptrs)
+        ptr = pool.acquire(kBytes);
+    // Another thread frees them all and exits. The class keeps
+    // kCentralCap buffers; the rest go back to the heap.
+    std::thread([&] {
+        for (void *ptr : ptrs)
+            pool.release(ptr, kBytes);
     }).join();
-    EXPECT_GT(pool.stats().cached_bytes, 0u);
-    const auto warmed = pool.stats();
-    // This thread's first acquire of that class comes from central:
-    // a hit, no fresh heap allocation.
-    void *ptr = pool.acquire(123456);
-    const auto after = pool.stats();
-    EXPECT_EQ(after.misses, warmed.misses);
-    EXPECT_EQ(after.hits, warmed.hits + 1);
-    pool.release(ptr, 123456);
+    const auto before = pool.stats();
+    EXPECT_EQ(before.cached_bytes,
+              kCentralCap * BufferPool::capacityFor(kBytes));
+    for (auto &ptr : ptrs)
+        ptr = pool.acquire(kBytes);
+    const auto delta = pool.stats() - before;
+    EXPECT_EQ(delta.hits, kCentralCap);
+    EXPECT_EQ(delta.misses, count - kCentralCap);
+    EXPECT_EQ(delta.cached_bytes, 0u);
+    for (void *ptr : ptrs)
+        pool.release(ptr, kBytes);
     pool.trim();
 }
 

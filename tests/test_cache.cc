@@ -1,8 +1,9 @@
 /**
  * @file
  * Decoded-sample cache suite: deterministic-prefix bookkeeping on
- * Compose, prefix fingerprints, the sharded fill-once SampleCache
- * (budget, rejection, concurrent hammering, pooled warm hits), disk
+ * Compose, prefix fingerprints, the fill-once SampleCache with one
+ * global budget (budget, rejection, concurrent hammering, pooled warm
+ * hits), disk
  * materialization (round-trip, atomicity residue, corruption
  * recovery, directory claims, spills counted as held), loader
  * end-to-end warm epochs (bit-identity, Loader-span collapse), and
@@ -164,7 +165,6 @@ TEST(SampleCache, HitReturnsIsolatedDeepClone)
 {
     CacheConfig config;
     config.budget_bytes = 1 << 20;
-    config.shards = 2;
     SampleCache cache(config);
     PipelineContext ctx;
 
@@ -199,7 +199,6 @@ TEST(SampleCache, FillsOnceAndRejectsPastTheBudget)
     const std::int64_t entry_bytes = static_cast<std::int64_t>(
         SampleCache::sampleBytes(stampedSample(0)));
     CacheConfig config;
-    config.shards = 1; // one shard: the budget bound is exact
     config.budget_bytes = 4 * entry_bytes;
     SampleCache cache(config);
     PipelineContext ctx;
@@ -208,7 +207,7 @@ TEST(SampleCache, FillsOnceAndRejectsPastTheBudget)
         cache.insert(keyFor(i), stampedSample(i), ctx);
         EXPECT_LE(cache.stats().bytes, config.budget_bytes);
     }
-    // The first four entries fill the shard and stay; every later
+    // The first four entries fill the budget and stay; every later
     // one is refused instead of displacing a resident.
     for (std::int64_t i = 0; i < 32; ++i) {
         EXPECT_EQ(cache.holds(keyFor(i)), i < 4) << "key " << i;
@@ -224,33 +223,37 @@ TEST(SampleCache, FillsOnceAndRejectsPastTheBudget)
     EXPECT_EQ(stats.bytes, 4 * entry_bytes);
 }
 
-TEST(SampleCache, RejectsEntriesLargerThanAShard)
+TEST(SampleCache, RejectsEntriesLargerThanTheBudget)
 {
     CacheConfig config;
-    config.shards = 4;
-    config.budget_bytes = 4096; // 1 KiB per shard
+    config.budget_bytes = 4096;
     SampleCache cache(config);
     PipelineContext ctx;
 
-    cache.insert(keyFor(1), stampedSample(1, /*floats=*/4096), ctx);
+    // 1024 floats fill the budget exactly; one float more does not
+    // fit, in an empty cache or a full one.
+    cache.insert(keyFor(1), stampedSample(1, /*floats=*/1025), ctx);
     EXPECT_FALSE(cache.lookup(keyFor(1), ctx).has_value());
+    cache.insert(keyFor(2), stampedSample(2, /*floats=*/1024), ctx);
+    EXPECT_TRUE(cache.lookup(keyFor(2), ctx).has_value());
+    cache.insert(keyFor(3), stampedSample(3, /*floats=*/1), ctx);
+    EXPECT_FALSE(cache.lookup(keyFor(3), ctx).has_value());
     const auto stats = cache.stats();
-    EXPECT_EQ(stats.rejects, 1u);
-    EXPECT_EQ(stats.inserts, 0u);
-    EXPECT_EQ(stats.bytes, 0);
+    EXPECT_EQ(stats.rejects, 2u);
+    EXPECT_EQ(stats.inserts, 1u);
+    EXPECT_EQ(stats.bytes, config.budget_bytes);
 }
 
 TEST(SampleCache, WarmHitsAllocateFromThePoolNotTheHeap)
 {
     CacheConfig config;
     config.budget_bytes = 1 << 22;
-    config.shards = 2;
     SampleCache cache(config);
     PipelineContext ctx;
     for (std::int64_t i = 0; i < 8; ++i)
         cache.insert(keyFor(i), stampedSample(i), ctx);
 
-    // Warm the calling thread's freelist with one round of clones,
+    // Warm the pool's freelists with one round of clones,
     // then a steady-state round must be all pool hits: zero misses
     // means zero heap allocations on the warm path.
     for (std::int64_t i = 0; i < 8; ++i)
@@ -270,18 +273,18 @@ TEST(SampleCache, ConcurrentHammerKeepsBudgetAndContentInvariants)
 {
     // Multi-worker hammer (also run under TSan): every thread mixes
     // lookups and inserts over a keyspace several times the budget,
-    // so every shard fills under contention and then refuses racing
+    // so the budget fills under contention and then refuses racing
     // admissions while serving concurrent hits.
     const std::int64_t entry_bytes = static_cast<std::int64_t>(
         SampleCache::sampleBytes(stampedSample(0)));
     CacheConfig config;
-    config.shards = 4;
     config.budget_bytes = 8 * entry_bytes;
     SampleCache cache(config);
 
     constexpr int kThreads = 8;
     constexpr std::int64_t kKeys = 64;
     std::atomic<bool> corrupt{false};
+    std::atomic<bool> over_budget{false};
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
@@ -297,6 +300,8 @@ TEST(SampleCache, ConcurrentHammerKeepsBudgetAndContentInvariants)
                 } else {
                     cache.insert(keyFor(index), stampedSample(index),
                                  ctx);
+                    if (cache.stats().bytes > config.budget_bytes)
+                        over_budget.store(true);
                 }
             }
         });
@@ -305,6 +310,7 @@ TEST(SampleCache, ConcurrentHammerKeepsBudgetAndContentInvariants)
         thread.join();
 
     EXPECT_FALSE(corrupt.load()) << "a hit returned another key's bytes";
+    EXPECT_FALSE(over_budget.load()) << "resident bytes passed the budget";
     const auto stats = cache.stats();
     EXPECT_LE(stats.bytes, config.budget_bytes);
     EXPECT_GE(stats.bytes, 0);
@@ -410,7 +416,6 @@ TEST(Materialize, HoldsCountsSpillsTheMemoryBudgetRejected)
     // spilled sample must count as held even when memory is full.
     TempDir dir("lotus_cache_holds");
     CacheConfig config;
-    config.shards = 1;
     config.budget_bytes = static_cast<std::int64_t>(
         SampleCache::sampleBytes(stampedSample(0)));
     config.materialize_dir = dir.file("spills");
@@ -560,7 +565,6 @@ TEST(CachedLoader, MaterializeSpillsOnceThenServesFromDiskAndRecovers)
     // rejected, so warm epochs exercise the disk path exclusively.
     auto options = cachedOptions(2, dataflow::CachePolicy::kMaterialize,
                                  /*budget=*/1024);
-    options.cache_shards = 1;
     options.materialize_dir = dir.file("spills");
     dataflow::DataLoader cached(dataset, collate, options);
 

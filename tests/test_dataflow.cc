@@ -18,7 +18,6 @@
 #include "dataflow/sampler.h"
 #include "image/codec/codec.h"
 #include "image/synth.h"
-#include "memory/buffer_pool.h"
 #include "metrics/metrics.h"
 #include "pipeline/compose.h"
 #include "pipeline/image_folder.h"
@@ -232,18 +231,6 @@ TEST(DataLoaderOptionsValidation, RejectsNonPositiveCacheBudget)
     EXPECT_EXIT(DataLoader(dataset, collate, options),
                 ::testing::ExitedWithCode(1),
                 "cache_budget_bytes must be > 0");
-}
-
-TEST(DataLoaderOptionsValidation, RejectsNonPositiveCacheShards)
-{
-    auto dataset = std::make_shared<ToyDataset>(4);
-    auto collate = std::make_shared<pipeline::StackCollate>();
-    auto options = baseOptions(2, 1, nullptr);
-    options.cache_policy = CachePolicy::kMemory;
-    options.cache_budget_bytes = 1 << 20;
-    options.cache_shards = 0;
-    EXPECT_EXIT(DataLoader(dataset, collate, options),
-                ::testing::ExitedWithCode(1), "cache_shards must be > 0");
 }
 
 TEST(DataLoaderOptionsValidation, RejectsMaterializeWithoutADirectory)
@@ -585,27 +572,6 @@ TEST(DataLoader, RoundRobinPlacesBatchOnWorkerBatchIdModN)
         }
         EXPECT_TRUE(threw) << "bad batch " << bad_batch;
     }
-}
-
-TEST(DataLoader, RecycleWithWorkersReturnsPagesToThePool)
-{
-    // Only a synchronous fetch collates into a recycled tensor; with
-    // workers recycle() must release it, not park it forever.
-    auto dataset = std::make_shared<ToyDataset>(64);
-    auto collate = std::make_shared<pipeline::StackCollate>();
-    DataLoader loader(dataset, collate, baseOptions(16, 2, nullptr));
-    std::optional<Batch> last;
-    while (auto batch = loader.next())
-        last = std::move(batch);
-    ASSERT_TRUE(last.has_value());
-    const std::size_t bytes = last->data.byteSize();
-    ASSERT_GT(bytes, 0u);
-    // The epoch is over and its fleet joined: nothing else releases.
-    auto &pool = memory::BufferPool::instance();
-    pool.trim();
-    const std::uint64_t before = pool.stats().cached_bytes;
-    loader.recycle(std::move(*last));
-    EXPECT_GE(pool.stats().cached_bytes, before + bytes);
 }
 
 TEST(DataLoader, ShuffleReshufflesEachEpoch)

@@ -14,7 +14,7 @@ REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 BUILD_DIR="${BUILD_DIR:-${REPO_ROOT}/build-tsan}"
 
 # TSan-instrumented targets only; the full suite is the tier-1 job.
-# test_cache is here for the multi-thread hammer: every shard fills
+# test_cache is here for the multi-thread hammer: the budget fills
 # under contention, then refuses racing admissions beside hits.
 # test_hwcount covers the per-thread PMU attribution registry, whose
 # snapshot()/charge() paths race against worker attach/detach.
